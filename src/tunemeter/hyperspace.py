@@ -380,12 +380,58 @@ def effective_values(
 
 # -- sampling ------------------------------------------------------------------
 
-def _draw_value(pdef: ParamDef, rng: np.random.Generator) -> Any:
+def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> list:
     if pdef.kind == "numeric":
-        return float(rng.uniform(pdef.lower, pdef.upper))
+        return rng.uniform(pdef.lower, pdef.upper, size).tolist()
     if pdef.kind == "integer":
-        return int(rng.integers(int(pdef.lower), int(pdef.upper) + 1))
-    return pdef.levels[int(rng.integers(0, len(pdef.levels)))]
+        return rng.integers(int(pdef.lower), int(pdef.upper) + 1, size).tolist()
+    levels = pdef.levels
+    return [levels[i] for i in rng.integers(0, len(levels), size).tolist()]
+
+
+def sample_configurations(
+    space: SearchSpace,
+    rng: np.random.Generator,
+    n: int,
+    fixed: Optional[dict[str, Any]] = None,
+) -> list[Configuration]:
+    """Draw `n` configurations: uniform on the untransformed scale per parameter.
+
+    Draws go column by column in draw order (parents before children), one
+    vectorised generator call per drawn parameter, so one row reproduces
+    the stream of drawing a single configuration. Parameters named in
+    ``fixed`` are pinned instead of drawn. A conditional parameter is drawn
+    only for the rows whose (pinned or drawn) parent activates it; the
+    other rows carry its fixed or placeholder value flagged inactive.
+    Drawn values are plain Python ``float``/``int``/``str``.
+    """
+    fixed = fixed or {}
+    unknown = [name for name in fixed if name not in space]
+    if unknown:
+        raise SpaceError(f"fixed values for unknown parameters: {', '.join(unknown)}")
+    order = space.draw_order()
+    columns: dict[str, list] = {}
+    flags: list[list[bool]] = []
+    for p in order:
+        if p.condition is None:
+            is_on = [True] * n
+        else:
+            activating = p.condition.values
+            is_on = [v in activating for v in columns[p.condition.parent]]
+        flags.append(is_on)
+        if p.name in fixed:
+            columns[p.name] = [fixed[p.name]] * n
+        elif p.condition is None:
+            columns[p.name] = _draw_column(p, rng, n)
+        else:
+            drawn = iter(_draw_column(p, rng, sum(is_on)))
+            placeholder = p.placeholder()
+            columns[p.name] = [next(drawn) if on else placeholder for on in is_on]
+    names = [p.name for p in order]
+    return [
+        Configuration(dict(zip(names, values)), dict(zip(names, active)))
+        for values, active in zip(zip(*columns.values()), zip(*flags))
+    ]
 
 
 def sample_configuration(
@@ -393,26 +439,8 @@ def sample_configuration(
     rng: np.random.Generator,
     fixed: Optional[dict[str, Any]] = None,
 ) -> Configuration:
-    """Draw one configuration: uniform on the untransformed scale per parameter.
-
-    Parameters named in ``fixed`` are pinned instead of drawn. Conditional
-    parameters are drawn only when the (pinned or drawn) parent activates
-    them; otherwise they take their placeholder and are flagged inactive.
-    """
-    fixed = fixed or {}
-    unknown = [name for name in fixed if name not in space]
-    if unknown:
-        raise SpaceError(f"fixed values for unknown parameters: {', '.join(unknown)}")
-    values: dict[str, Any] = {}
-    active: dict[str, bool] = {}
-    for p in space.draw_order():
-        if p.condition is not None and not p.condition.activates(values[p.condition.parent]):
-            values[p.name] = fixed.get(p.name, p.placeholder())
-            active[p.name] = False
-            continue
-        values[p.name] = fixed[p.name] if p.name in fixed else _draw_value(p, rng)
-        active[p.name] = True
-    return Configuration(values, active)
+    """Draw one configuration; see `sample_configurations`."""
+    return sample_configurations(space, rng, 1, fixed)[0]
 
 
 def grid_values(pdef: ParamDef, levels: int) -> list:

@@ -26,7 +26,8 @@ from .hyperspace import (
     SearchSpace,
     grid_values,
     resolve_active,
-    sample_configuration,
+    sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
+    sample_configurations,
 )
 from .metrics import RiskTransform, SummarySpec, aggregate_all, summarize_columns
 
@@ -73,11 +74,10 @@ class MinimizeResult:
 
 
 def _as_predictor_list(predictors) -> tuple[list[str], list]:
+    """Dataset ids and predictors of a {dataset id: predictor} dict or one predictor."""
     if isinstance(predictors, dict):
         return list(predictors.keys()), list(predictors.values())
-    if isinstance(predictors, (list, tuple)):
-        return [str(i) for i in range(len(predictors))], list(predictors)
-    return ["0"], [predictors]
+    return [getattr(predictors, "dataset_id", "?")], [predictors]
 
 
 def _grid_configs(
@@ -119,23 +119,18 @@ def _grid_configs(
     return out
 
 
-def _risk_matrix(preds: list, space: SearchSpace, configs: list[Configuration]) -> np.ndarray:
-    """(m, B) predicted risks with duplicate configurations evaluated once."""
-    index: dict[tuple, int] = {}
-    inverse = np.empty(len(configs), dtype=np.int64)
-    uniques: list[Configuration] = []
-    for i, c in enumerate(configs):
-        key = c.key(space)
-        at = index.get(key)
-        if at is None:
-            at = len(uniques)
-            index[key] = at
-            uniques.append(c)
-        inverse[i] = at
+def _risk_matrix(
+    preds: list, space: SearchSpace, configs: list[Configuration]
+) -> tuple[list[Configuration], np.ndarray]:
+    """Distinct configurations in order of first appearance and their (m, U) predicted risks."""
+    index: dict[tuple, Configuration] = {}
+    for c in configs:
+        index.setdefault(c.key(space), c)
+    uniques = list(index.values())
     U = np.empty((len(preds), len(uniques)))
     for r, pred in enumerate(preds):
         U[r] = np.asarray(pred.predict_many(uniques), dtype=float)
-    return U[:, inverse]
+    return uniques, U
 
 
 def minimize(
@@ -149,11 +144,17 @@ def minimize(
 ) -> MinimizeResult:
     """Best configuration agreeing with `fixed` under the aggregated risk.
 
-    `objective` maps the (m datasets x B candidates) risk matrix to one
-    value per candidate (default: mean over datasets). Ties are broken by
-    the first optimum in candidate order: lexicographic grid order, or
-    sample order for random search. Candidates within 1e-12 of the optimum
-    are counted in ``tie_count``.
+    Grid mode enumerates every cell; random mode draws the candidates
+    column by column with `sample_configurations`. Repeated candidates
+    (same `Configuration.key`) are predicted and scored once, in order of
+    first appearance. `objective` maps the (m datasets x U distinct
+    candidates) risk matrix to one value per column (default: mean over
+    datasets). Ties are broken by the first optimum in candidate order:
+    lexicographic grid order, or sample order for random search.
+    ``tie_count`` counts the distinct configurations within 1e-12 of the
+    optimum; ``n_evaluated`` counts all candidates, repeats included. A
+    non-finite predicted risk raises ValueError naming the dataset and the
+    candidate.
     """
     ds_ids, preds = _as_predictor_list(predictors)
     if optimizer.mode == "grid":
@@ -161,15 +162,20 @@ def minimize(
     else:
         n = budget if budget is not None else optimizer.budget
         rng = derive_rng(optimizer.seed, "opt", context)
-        configs = [sample_configuration(space, rng, fixed) for _ in range(n)]
+        configs = sample_configurations(space, rng, n, fixed)
     if not configs:
         raise ValueError("empty candidate set")
-    risks = _risk_matrix(preds, space, configs)
+    uniques, risks = _risk_matrix(preds, space, configs)
+    bad = np.argwhere(~np.isfinite(risks))
+    if bad.size:
+        r, j = bad[0]
+        raise ValueError(f"non-finite risk {risks[r, j]} on dataset {ds_ids[r]!r} "
+                         f"for candidate {uniques[j].key(space)} (search {context!r})")
     obj = objective(risks) if objective is not None else risks.mean(axis=0)
     best = int(np.argmin(obj))
     best_val = float(obj[best])
     ties = int(np.sum(obj <= best_val + TIE_EPS))
-    return MinimizeResult(configs[best].copy(), best_val, ties, len(configs))
+    return MinimizeResult(uniques[best].copy(), best_val, ties, len(configs))
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------
@@ -269,7 +275,7 @@ def tunability_parameter(
     fixed = {name: reference.values[name] for name in space.names if name != param}
     res = minimize(predictor, space, optimizer, fixed=fixed,
                    context=f"param:{param}:{context}")
-    ref_risk = float(_as_predictor_list(predictor)[1][0].predict_many([reference])[0])
+    ref_risk = float(predictor.predict_many([reference])[0])
     return ParamDatasetResult(
         best_value=res.config.values[param],
         d=ref_risk - res.risk,
@@ -312,8 +318,7 @@ def tunability_pair(
                 f"parameter {name!r} is inactive under the reference; "
                 "adjust it with conditional_reference first"
             )
-    _, preds = _as_predictor_list(predictor)
-    ref_risk = float(preds[0].predict_many([reference])[0])
+    ref_risk = float(predictor.predict_many([reference])[0])
     fixed = {n: reference.values[n] for n in space.names if n not in (i1, i2)}
     joint = minimize(predictor, space, optimizer, fixed=fixed,
                      context=f"pair:{i1}:{i2}:{context}",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunemeter.hyperspace import (
     BUNDLED_ALGORITHMS,
@@ -20,6 +22,7 @@ from tunemeter.hyperspace import (
     make_configuration,
     parse_space,
     sample_configuration,
+    sample_configurations,
     serialize_space,
     validate_configuration,
 )
@@ -208,6 +211,70 @@ class TestSampling:
         space = bundled_space("kknn")
         with pytest.raises(SpaceError, match="unknown"):
             sample_configuration(space, rng(), fixed={"nope": 1})
+
+    def test_first_draws_pinned(self):
+        # values drawn by the one-configuration-at-a-time sampler this one replaced
+        r = rng(2024)
+        got = [sample_configuration(bundled_space("rpart"), r).values for _ in range(3)]
+        assert got == [
+            {"cp": 0.6758313379812818, "maxdepth": 3, "minbucket": 13, "minsplit": 20},
+            {"cp": 0.7994660967748332, "maxdepth": 10, "minbucket": 55, "minsplit": 60},
+            {"cp": 0.1422318152800518, "maxdepth": 27, "minbucket": 5, "minsplit": 10},
+        ]
+        r = rng(2024)
+        space = bundled_space("svm")
+        got = [sample_configuration(space, r, fixed={"kernel": "polynomial"}) for _ in range(3)]
+        assert [(c.values["cost"], c.values["degree"]) for c in got] == [
+            (3.5166267596256358, 2), (-3.810959382366166, 2), (5.989321935496664, 5)]
+        assert all(c.values["gamma"] == 0.0 and not c.active["gamma"] for c in got)
+
+
+def _fixed_values(space, data):
+    """A random subset of the parameters pinned to values inside their ranges."""
+    fixed = {}
+    for p in space.params:
+        if not data.draw(st.booleans()):
+            continue
+        if p.kind == "numeric":
+            fixed[p.name] = data.draw(st.floats(p.lower, p.upper))
+        elif p.kind == "integer":
+            fixed[p.name] = data.draw(st.integers(int(p.lower), int(p.upper)))
+        else:
+            fixed[p.name] = data.draw(st.sampled_from(p.levels))
+    return fixed
+
+
+class TestBatchedSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(BUNDLED_ALGORITHMS), n=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_valid_and_reproducible(self, name, n, seed, data):
+        space = bundled_space(name)
+        fixed = _fixed_values(space, data)
+        rows = sample_configurations(space, rng(seed), n, fixed)
+        assert len(rows) == n
+        for cfg in rows:
+            assert validate_configuration(space, cfg) == []
+            for p in space.params:
+                if p.condition is not None:
+                    parent_value = cfg.values[p.condition.parent]
+                    assert cfg.active[p.name] == (parent_value in p.condition.values)
+                if p.name in fixed:
+                    assert cfg.values[p.name] == fixed[p.name]
+                else:
+                    assert type(cfg.values[p.name]) in (float, int, str)
+        again = sample_configurations(space, rng(seed), n, fixed)
+        assert [(c.values, c.active) for c in again] == [(c.values, c.active) for c in rows]
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(BUNDLED_ALGORITHMS), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_one_row_is_the_single_draw(self, name, seed, data):
+        space = bundled_space(name)
+        fixed = _fixed_values(space, data)
+        one = sample_configuration(space, rng(seed), fixed)
+        (row,) = sample_configurations(space, rng(seed), 1, fixed)
+        assert (one.values, one.active) == (row.values, row.active)
 
 
 class TestValidateConfiguration:

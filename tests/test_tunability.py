@@ -70,6 +70,21 @@ class TestMinimize:
         res = minimize(pred, space, GRID)
         assert res.config.key(space) == (0, 1)  # (0,1) precedes (1,1) lexicographically
 
+    def test_random_ties_count_distinct_configurations(self):
+        # 2000 draws over 4 levels repeat the unique optimum hundreds of times
+        space, _, pred, _ = table_setup([4], [0.4, 0.1, 0.2, 0.3])
+        res = minimize(pred, space, OptimizerSpec(mode="random", budget=2000, seed=5))
+        assert res.config.values["p0"] == 1 and res.risk == 0.1
+        assert res.tie_count == 1 and not res.tied
+        assert res.n_evaluated == 2000
+
+    @pytest.mark.parametrize("optimizer", [GRID, OptimizerSpec(mode="random", budget=50)])
+    def test_non_finite_risk_rejected(self, optimizer):
+        space, _, pred, _ = table_setup([4], [0.4, 0.3, float("nan"), 0.2])
+        with pytest.raises(ValueError, match=r"non-finite risk nan on dataset 'd7' "
+                                             r"for candidate \(2,\)"):
+            minimize({"d7": pred}, space, optimizer)
+
 
 class TestComputeDefaults:
     def test_single_dataset_degenerates_to_optimum(self):
