@@ -18,7 +18,6 @@ from .hyperspace import (
     bundled_package_defaults,
     bundled_space,
     effective_values,
-    load_space,
     make_configuration,
     parse_space,
     sample_configuration,
@@ -34,8 +33,6 @@ from .metrics import (
     brier,
     kendall_tau,
     r_squared,
-    scale_risks,
-    summarize,
     to_risk,
 )
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -163,10 +163,6 @@ class SearchSpace:
                     f"{cond.parent!r}"
                 )
 
-    @property
-    def k(self) -> int:
-        return len(self.params)
-
     def __getitem__(self, name: str) -> ParamDef:
         for p in self.params:
             if p.name == name:
@@ -301,11 +297,6 @@ def parse_space(document: str | dict) -> SearchSpace:
 def serialize_space(space: SearchSpace) -> str:
     data = {"algorithm": space.algorithm, "params": [_param_to_dict(p) for p in space.params]}
     return json.dumps(data, indent=2) + "\n"
-
-
-def load_space(path) -> SearchSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.read())
 
 
 @functools.cache

@@ -10,10 +10,10 @@ stratified cross-validation.
 
 from __future__ import annotations
 
-import concurrent.futures
+import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from ._rng import derive_rng, stable_hash
+from ._rng import _parallel_map, derive_rng, stable_hash
 from .hyperspace import (
     Configuration,
     DatasetInfo,
@@ -70,12 +70,6 @@ class MetaDataset:
     rows: list[ExperimentRow]
     measures: tuple[str, ...] = MEASURES
     seed: Optional[int] = None
-
-    def info(self, dataset_id: str) -> DatasetInfo:
-        for ds in self.dataset_infos:
-            if ds.id == dataset_id:
-                return ds
-        raise KeyError(dataset_id)
 
     @property
     def dataset_ids(self) -> list[str]:
@@ -430,32 +424,21 @@ def generate_bot_data(
             for row_idx in range(rows_per_pair):
                 tasks.append((learner, ds, row_idx))
 
-    def run_one(task):
+    def run_one(task) -> Optional[ExperimentRow]:
         learner, ds, row_idx = task
         space = learner.space()
         rng = derive_rng(seed, "bot", learner.algorithm, ds.info.id, row_idx)
         config = sample_configuration(space, rng)
         fold_seed = stable_hash(f"folds:{seed}:{ds.info.id}")
-        values = cross_validate(learner, config, ds, learner.folds, MEASURES, fold_seed)
+        try:
+            values = cross_validate(learner, config, ds, learner.folds, MEASURES, fold_seed)
+        except ValueError as exc:
+            logger.warning("dropping %s row %d on %s: %s",
+                           learner.kind, row_idx, ds.info.id, exc)
+            return None
         return ExperimentRow(ds.info.id, config, values)
 
-    results: list[Optional[ExperimentRow]] = [None] * len(tasks)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_one, t): i for i, t in enumerate(tasks)}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except ValueError as exc:
-                    logger.warning("dropping row %s: %s", tasks[i][:2], exc)
-    else:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = run_one(task)
-            except ValueError as exc:
-                logger.warning("dropping row %s: %s", task[:2], exc)
-
+    results = _parallel_map(run_one, tasks, workers)
     out = {}
     for learner in learners:
         rows = [
@@ -500,27 +483,28 @@ def _manifest_path(path: Path) -> Path:
 
 
 def write_meta(meta: MetaDataset, path) -> None:
-    """Write the delimited data file and its JSON manifest sidecar.
+    """Write the CSV data file and its JSON manifest sidecar.
 
     Values round-trip at full precision; inactive parameters become empty
-    cells. The manifest records algorithm, space, measure list, generation
-    seed and dataset sizes.
+    cells, and cells holding commas, quotes or newlines are quoted. The
+    manifest records algorithm, space, measure list, generation seed and
+    dataset sizes.
     """
     path = Path(path)
     meta.validate()
     header = ["dataset_id"] + [p.name for p in meta.space.params] + list(meta.measures)
-    lines = [",".join(header)]
-    for row in meta.rows:
-        cells = [row.dataset_id]
-        for p in meta.space.params:
-            if row.config.active.get(p.name, False):
-                cells.append(_format_cell(p, row.config.values[p.name]))
-            else:
-                cells.append("")
-        for m in meta.measures:
-            cells.append(repr(float(row.measures[m])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in meta.rows:
+            cells = [row.dataset_id]
+            for p in meta.space.params:
+                if row.config.active.get(p.name, False):
+                    cells.append(_format_cell(p, row.config.values[p.name]))
+                else:
+                    cells.append("")
+            cells.extend(repr(float(row.measures[m])) for m in meta.measures)
+            writer.writerow(cells)
     manifest = {
         "algorithm": meta.algorithm,
         "space": json.loads(serialize_space(meta.space)),
@@ -546,11 +530,13 @@ def read_meta(path) -> MetaDataset:
     measures = tuple(manifest["measures"])
     infos = [DatasetInfo(d["id"], d["n"], d["p"]) for d in manifest["datasets"]]
 
-    text = path.read_text(encoding="utf-8").strip("\n")
-    lines = text.split("\n") if text else []
-    if not lines:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        # (line on which the record ends, cells), blank lines skipped
+        records = [(reader.line_num, cells) for cells in reader if cells]
+    if not records:
         raise MetaFormatError("empty meta-data file")
-    header = lines[0].split(",")
+    header = records[0][1]
     expected = ["dataset_id"] + [p.name for p in space.params] + list(measures)
     for col in header:
         if col not in expected:
@@ -562,8 +548,7 @@ def read_meta(path) -> MetaDataset:
         raise MetaFormatError("column order does not match the space definition")
 
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    for ln, cells in records[1:]:
         if len(cells) != len(header):
             raise MetaFormatError(f"line {ln}: expected {len(header)} cells, got {len(cells)}")
         record = dict(zip(header, cells))

@@ -21,23 +21,17 @@ _DIRECTIONS = {"auc": "maximize", "accuracy": "maximize", "brier": "minimize"}
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A named classification measure and its optimization direction."""
+    """A named classification measure; its optimization direction follows from the name."""
 
     name: str
-    direction: str = ""
 
     def __post_init__(self):
         if self.name not in _DIRECTIONS:
             raise ValueError(f"unknown measure {self.name!r}; choose from {MEASURES}")
-        expected = _DIRECTIONS[self.name]
-        if self.direction == "":
-            object.__setattr__(self, "direction", expected)
-        elif self.direction != expected:
-            raise ValueError(f"measure {self.name} must have direction {expected}")
 
-
-def measure_spec(name: str) -> MeasureSpec:
-    return MeasureSpec(name)
+    @property
+    def direction(self) -> str:
+        return _DIRECTIONS[self.name]
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -74,11 +68,6 @@ def brier(probs: Sequence[float], labels: Sequence[int]) -> float:
 def to_risk(value: float, spec: MeasureSpec) -> float:
     """Orient a measure so that lower is better (maximize measures are negated)."""
     return -value if spec.direction == "maximize" else value
-
-
-def from_risk(risk: float, spec: MeasureSpec) -> float:
-    """Undo to_risk for display."""
-    return -risk if spec.direction == "maximize" else risk
 
 
 def r_squared(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -142,21 +131,8 @@ class RiskTransform:
         if self.mode not in SCALINGS:
             raise ValueError(f"unknown scaling mode {self.mode!r}")
 
-    def scale(self, risk: float, dataset_id: str) -> float:
-        if self.mode == "none":
-            return risk
-        st = self.stats.get(dataset_id)
-        if st is None:
-            raise ValueError(f"no scaling statistics for dataset {dataset_id!r}")
-        if self.mode == "unit_interval":
-            if st.baseline is None or st.best is None or st.baseline == st.best:
-                raise ValueError(f"unit_interval scaling needs baseline != best ({dataset_id})")
-            return (risk - st.baseline) / abs(st.best - st.baseline)
-        if st.sd is None or st.mean is None or st.sd <= 0:
-            raise ValueError(f"zscore scaling needs positive sd ({dataset_id})")
-        return (risk - st.mean) / st.sd
-
     def scale_many(self, risks: np.ndarray, dataset_id: str) -> np.ndarray:
+        """Scale one dataset's risks under the transform's statistics for it."""
         if self.mode == "none":
             return risks
         st = self.stats.get(dataset_id)
@@ -169,11 +145,6 @@ class RiskTransform:
         if st.sd is None or st.mean is None or st.sd <= 0:
             raise ValueError(f"zscore scaling needs positive sd ({dataset_id})")
         return (risks - st.mean) / st.sd
-
-
-def scale_risks(risks: Sequence[float], transform: RiskTransform, dataset_id: str) -> list[float]:
-    """Scale one dataset's risks under the transform's statistics for it."""
-    return [transform.scale(float(r), dataset_id) for r in risks]
 
 
 def risk_stats_from_observations(
@@ -223,24 +194,12 @@ class SummarySpec:
             return cls("quantile", q=float(text[1:]))
         raise ValueError(f"cannot parse summary spec {text!r}")
 
-    def label(self) -> str:
-        return self.g if self.g != "quantile" else f"q{self.q:g}"
-
-
-def summarize(values: Sequence[float], spec: SummarySpec) -> float:
-    """Apply the summary function; quantiles interpolate order statistics."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty list")
-    if spec.g == "mean":
-        return float(arr.mean())
-    if spec.g == "median":
-        return float(np.median(arr))
-    return float(np.quantile(arr, spec.q))
-
 
 def summarize_columns(matrix: np.ndarray, spec: SummarySpec) -> np.ndarray:
-    """Column-wise summarize for an (m datasets x B candidates) risk matrix."""
+    """Column-wise summary of an (m datasets x B candidates) risk matrix.
+
+    Quantiles interpolate order statistics (type 7).
+    """
     if matrix.size == 0:
         raise ValueError("cannot summarize an empty matrix")
     if spec.g == "mean":

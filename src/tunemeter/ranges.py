@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hyperspace import Configuration, ParamDef, SearchSpace, apply_trafo
+from .hyperspace import Configuration, SearchSpace, apply_trafo
 
 DS_FREE_TRAFOS = ("identity", "pow2")
 
@@ -52,28 +52,11 @@ class ParamRange:
     q_high_trafo: Optional[float] = None
     included_levels: Optional[list[str]] = None
 
-    @property
-    def has_data(self) -> bool:
-        return self.n_active > 0
-
 
 @dataclass
 class TuningSpaceResult:
     spec: RangeSpec
     per_param: dict[str, ParamRange]
-
-    def contains(self, config: Configuration) -> bool:
-        """Whether a configuration's active values fall inside the ranges."""
-        for name, pr in self.per_param.items():
-            if not config.active.get(name, False) or not pr.has_data:
-                continue
-            v = config.values[name]
-            if pr.included_levels is not None:
-                if v not in pr.included_levels:
-                    return False
-            elif not (pr.q_low <= v <= pr.q_high):
-                return False
-        return True
 
 
 def compute_ranges(
@@ -109,36 +92,3 @@ def compute_ranges(
                 pr.included_levels = included
         per_param[p.name] = pr
     return TuningSpaceResult(spec=spec, per_param=per_param)
-
-
-@dataclass
-class HistogramTable:
-    parameter: str
-    edges: list[float]
-    counts: list[int]
-
-    def rows(self) -> list[tuple[float, float, int]]:
-        return [
-            (self.edges[i], self.edges[i + 1], self.counts[i])
-            for i in range(len(self.counts))
-        ]
-
-
-def export_histogram(pdef: ParamDef, values: Sequence[float], bins: int) -> HistogramTable:
-    """Equal-width histogram of best values over the parameter's bounds.
-
-    Bins are half-open with the last bin closed, so a value sitting on an
-    interior edge lands in the upper bin; counts always sum to the number
-    of contributing datasets.
-    """
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    if pdef.kind not in ("numeric", "integer"):
-        raise ValueError(f"histograms apply to numeric parameters, not {pdef.kind}")
-    arr = np.asarray(list(values), dtype=float)
-    counts, edges = np.histogram(arr, bins=bins, range=(pdef.lower, pdef.upper))
-    return HistogramTable(
-        parameter=pdef.name,
-        edges=[float(e) for e in edges],
-        counts=[int(c) for c in counts],
-    )

@@ -17,20 +17,22 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import derive_rng
-from .hyperspace import Configuration, DatasetInfo, SearchSpace
+from .hyperspace import Configuration, SearchSpace
 from .metadata import ExperimentRow, MetaDataset
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
 SURROGATE_KINDS = ("constant", "linear", "knn_reg", "cart_reg", "forest_reg")
 # fixed tie-break order for selection, best candidate first
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
+# hashed into every cache key; bump it when pickled models change shape
+_CACHE_FORMAT = 1
 
 
 # -- encoding --------------------------------------------------------------------
@@ -96,12 +98,7 @@ class EncodedMatrix:
         return self.encoder.columns
 
 
-def encode(
-    space: SearchSpace,
-    rows: Sequence[ExperimentRow],
-    measure: str,
-    ds: Optional[DatasetInfo] = None,
-) -> EncodedMatrix:
+def encode(space: SearchSpace, rows: Sequence[ExperimentRow], measure: str) -> EncodedMatrix:
     """Encode experiment rows for one dataset; targets are oriented risks."""
     if not rows:
         raise ValueError("cannot encode an empty row list")
@@ -355,10 +352,6 @@ def fit_surrogate(
     )
 
 
-def predict(model: SurrogateModel, config: Configuration) -> float:
-    return model.predict(config)
-
-
 # -- comparing surrogate kinds -----------------------------------------------------
 
 @dataclass
@@ -420,7 +413,7 @@ def evaluate_surrogates(
             raise ValueError(
                 f"dataset {ds.id!r}: {len(rows)} rows is fewer than {folds} folds"
             )
-        matrix = encode(meta.space, rows, measure, ds)
+        matrix = encode(meta.space, rows, measure)
         scores: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
         for rep in range(reps):
             rng = derive_rng(seed, "surrogate-cv", ds.id, rep)
@@ -481,13 +474,12 @@ def fit_all_surrogates(
     out = {}
     for ds in meta.dataset_infos:
         rows = meta.rows_for(ds.id)
-        matrix = encode(meta.space, rows, measure, ds)
+        matrix = encode(meta.space, rows, measure)
         if cache_dir is not None:
             key = _cache_key(meta.algorithm, ds.id, measure, kind, seed, params, matrix)
             path = Path(cache_dir) / f"{key}.pkl"
             if path.exists():
-                with open(path, "rb") as fh:
-                    out[ds.id] = pickle.load(fh)
+                out[ds.id] = _load_cached(path, kind, ds.id, measure)
                 continue
         model = fit_surrogate(kind, matrix, seed=seed, dataset_id=ds.id,
                               measure=measure, **params)
@@ -501,9 +493,21 @@ def fit_all_surrogates(
     return out
 
 
+def _load_cached(path: Path, kind: str, dataset_id: str, measure: str) -> SurrogateModel:
+    """The pickled model at `path`, refused unless it is the requested surrogate."""
+    with open(path, "rb") as fh:
+        model = pickle.load(fh)
+    if not (isinstance(model, SurrogateModel) and model.kind == kind
+            and model.dataset_id == dataset_id and model.measure == measure):
+        raise ValueError(f"cache file {path} does not hold the {kind} surrogate "
+                         f"for dataset {dataset_id!r} and measure {measure!r}")
+    return model
+
+
 def _cache_key(algorithm, dataset_id, measure, kind, seed, params, matrix) -> str:
     h = hashlib.sha256()
-    h.update(repr((algorithm, dataset_id, measure, kind, seed, sorted(params.items()))).encode())
+    h.update(repr((_CACHE_FORMAT, algorithm, dataset_id, measure, kind, seed,
+                   sorted(params.items()))).encode())
     h.update(matrix.features.tobytes())
     h.update(matrix.targets.tobytes())
     return h.hexdigest()[:32]

@@ -7,20 +7,19 @@ gains, sequential tuning risks, and a cross-validation protocol over
 datasets. Optimization is black-box: either exhaustive grid enumeration or
 seeded uniform random search on the untransformed scale.
 
-A predictor is anything with ``predict_many(configs) -> array`` (and
-``predict(config)``); fitted surrogates qualify, and so do plain lookup
-tables in tests.
+A predictor is anything with ``predict_many(configs) -> float array``;
+fitted surrogates qualify, and so do plain lookup tables in tests.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import logging
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derive_rng
+from ._rng import _parallel_map, derive_rng
 from .hyperspace import (
     Configuration,
     SearchSpace,
@@ -30,6 +29,8 @@ from .hyperspace import (
     sample_configurations,
 )
 from .metrics import RiskTransform, SummarySpec, aggregate_all, summarize_columns
+
+logger = logging.getLogger(__name__)
 
 TIE_EPS = 1e-12
 GRID_CAP = 2_000_000
@@ -152,9 +153,9 @@ def minimize(
     datasets). Ties are broken by the first optimum in candidate order:
     lexicographic grid order, or sample order for random search.
     ``tie_count`` counts the distinct configurations within 1e-12 of the
-    optimum; ``n_evaluated`` counts all candidates, repeats included. A
-    non-finite predicted risk raises ValueError naming the dataset and the
-    candidate.
+    optimum, and a tie is logged as a warning; ``n_evaluated`` counts all
+    candidates, repeats included. A non-finite predicted risk raises
+    ValueError naming the dataset and the candidate.
     """
     ds_ids, preds = _as_predictor_list(predictors)
     if optimizer.mode == "grid":
@@ -175,6 +176,9 @@ def minimize(
     best = int(np.argmin(obj))
     best_val = float(obj[best])
     ties = int(np.sum(obj <= best_val + TIE_EPS))
+    if ties > 1:
+        logger.warning("search %r ends in a %d-way tie over %d candidates; "
+                       "the first found wins", context, ties, len(configs))
     return MinimizeResult(uniques[best].copy(), best_val, ties, len(configs))
 
 
@@ -470,11 +474,3 @@ def cv_across_datasets(
         per_dataset.update(result)
     per_dataset = {ds: per_dataset[ds] for ds in ds_ids if ds in per_dataset}
     return CvResult(per_dataset, aggregate_all(per_dataset.values()), fold_of)
-
-
-def _parallel_map(fn, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

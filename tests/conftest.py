@@ -12,9 +12,6 @@ class TablePredictor:
         self.space = space
         self.table = dict(table)
 
-    def predict(self, config):
-        return self.table[config.key(self.space)]
-
     def predict_many(self, configs):
         return np.array([self.table[c.key(self.space)] for c in configs])
 
@@ -25,9 +22,6 @@ class FunctionPredictor:
     def __init__(self, fn, param="x"):
         self.fn = fn
         self.param = param
-
-    def predict(self, config):
-        return float(self.fn(config.values[self.param]))
 
     def predict_many(self, configs):
         return np.array([self.fn(c.values[self.param]) for c in configs], dtype=float)

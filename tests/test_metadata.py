@@ -6,6 +6,7 @@ from tunemeter.hyperspace import (
     DatasetInfo,
     bundled_space,
     make_configuration,
+    parse_space,
     sample_configuration,
     validate_configuration,
 )
@@ -204,8 +205,24 @@ class TestMetaIO:
         meta = self.build_meta()
         path = tmp_path / "kknn.csv"
         write_meta(meta, path)
+        assert '"' not in path.read_text()  # plain cells are written unquoted
         back = read_meta(path)
         assert back == meta
+
+    def test_round_trip_delimiters_in_ids_and_levels(self, tmp_path):
+        space = parse_space({"algorithm": "toy", "params": [
+            {"name": "x,1", "kind": "numeric", "lower": 0, "upper": 1},
+            {"name": "mode", "kind": "discrete", "levels": ["a,b", 'say "hi"', "two\nlines"]},
+        ]})
+        infos = [DatasetInfo("d,1", n=40, p=4), DatasetInfo("plain", n=40, p=4)]
+        measures = {"auc": 0.7, "accuracy": 0.6, "brier": 0.2}
+        rows = [ExperimentRow(info.id, make_configuration(space, {"x,1": 0.25, "mode": level}),
+                              dict(measures))
+                for info in infos for level in space["mode"].levels]
+        meta = MetaDataset("toy", space, infos, rows)
+        path = tmp_path / "toy.csv"
+        write_meta(meta, path)
+        assert read_meta(path) == meta
 
     def test_round_trip_conditional_empty_cells(self, tmp_path):
         space = bundled_space("svm")

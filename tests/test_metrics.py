@@ -13,8 +13,7 @@ from tunemeter.metrics import (
     kendall_tau,
     r_squared,
     risk_stats_from_observations,
-    scale_risks,
-    summarize,
+    summarize_columns,
     to_risk,
 )
 
@@ -91,9 +90,11 @@ class TestToRisk:
         risks = [to_risk(v, spec) for v in vals]
         assert int(np.argmin(risks)) == int(np.argmax(vals))
 
-    def test_direction_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MeasureSpec("auc", "minimize")
+    def test_direction_follows_name(self):
+        assert MeasureSpec("auc").direction == "maximize"
+        assert MeasureSpec("brier").direction == "minimize"
+        with pytest.raises(ValueError, match="unknown measure"):
+            MeasureSpec("logloss")
 
 
 class TestRegressionMeasures:
@@ -130,35 +131,44 @@ class TestRegressionMeasures:
             assert -1.0 <= kendall_tau(x, y) <= 1.0
 
 
+def scale(values, tr):
+    return tr.scale_many(np.array(values, dtype=float), "d").tolist()
+
+
 class TestScaleRisks:
     def test_none_is_identity(self):
         tr = RiskTransform("none")
-        assert scale_risks([0.4, -1.0], tr, "d") == [0.4, -1.0]
+        assert scale([0.4, -1.0], tr) == [0.4, -1.0]
 
     def test_unit_interval_formula(self):
         # spec text gives (r - baseline)/|best - baseline|; its worked example
         # (0.3) contradicts both that formula and the paper, so the formula wins
         tr = RiskTransform(
             "unit_interval", {"d": DatasetRiskStats(baseline=1.0, best=0.0)})
-        assert scale_risks([0.3], tr, "d") == [pytest.approx(-0.7)]
+        assert scale([0.3], tr) == [pytest.approx(-0.7)]
 
     def test_unit_interval_endpoints_exact(self):
         tr = RiskTransform(
             "unit_interval", {"d": DatasetRiskStats(baseline=-0.5, best=-0.9)})
-        lo, hi = scale_risks([-0.5, -0.9], tr, "d")
+        lo, hi = scale([-0.5, -0.9], tr)
         assert lo == 0.0 and abs(hi) == 1.0
 
     def test_zscore(self):
         tr = RiskTransform("zscore", {"d": DatasetRiskStats(mean=2.0, sd=1.0)})
-        assert scale_risks([1.0, 2.0, 3.0], tr, "d") == [-1.0, 0.0, 1.0]
+        assert scale([1.0, 2.0, 3.0], tr) == [-1.0, 0.0, 1.0]
 
     def test_mode_preconditions(self):
         tr = RiskTransform("unit_interval", {"d": DatasetRiskStats(baseline=0.5, best=0.5)})
         with pytest.raises(ValueError):
-            scale_risks([0.1], tr, "d")
+            scale([0.1], tr)
         tz = RiskTransform("zscore", {"d": DatasetRiskStats(mean=0.0, sd=0.0)})
         with pytest.raises(ValueError):
-            scale_risks([0.1], tz, "d")
+            scale([0.1], tz)
+
+    def test_unknown_dataset(self):
+        tz = RiskTransform("zscore", {"d": DatasetRiskStats(mean=0.0, sd=1.0)})
+        with pytest.raises(ValueError, match="'e'"):
+            tz.scale_many(np.array([0.1]), "e")
 
     def test_stats_from_observations(self):
         spec = MeasureSpec("auc")
@@ -168,19 +178,30 @@ class TestScaleRisks:
         assert st.mean == pytest.approx(-0.7333333333333333)
 
 
+def summarize_one(values, spec):
+    """Summary of one candidate column over the datasets' values."""
+    (out,) = summarize_columns(np.array(values, dtype=float)[:, None], spec)
+    return out
+
+
 class TestSummarize:
     def test_mean(self):
-        assert summarize([0.1, 0.3], SummarySpec("mean")) == pytest.approx(0.2)
+        assert summarize_one([0.1, 0.3], SummarySpec("mean")) == pytest.approx(0.2)
 
     def test_median_robust(self):
-        assert summarize([1, 2, 100], SummarySpec("median")) == 2
+        assert summarize_one([1, 2, 100], SummarySpec("median")) == 2
 
     def test_quantile_interpolated(self):
-        assert summarize(list(range(1, 11)), SummarySpec("quantile", 0.9)) == pytest.approx(9.1)
+        q90 = summarize_one(list(range(1, 11)), SummarySpec("quantile", 0.9))
+        assert q90 == pytest.approx(9.1)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            summarize([], SummarySpec("mean"))
+            summarize_columns(np.empty((0, 3)), SummarySpec("mean"))
+
+    def test_columns_summarized_independently(self):
+        matrix = np.array([[1.0, 5.0], [3.0, 5.0], [8.0, 5.0]])
+        assert summarize_columns(matrix, SummarySpec("median")).tolist() == [3.0, 5.0]
 
     def test_parse(self):
         assert SummarySpec.parse("mean") == SummarySpec("mean")

@@ -1,9 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from conftest import meta_from_values, numeric_space, smooth_sine_meta
 from tunemeter.hyperspace import (
-    DatasetInfo,
     bundled_space,
     make_configuration,
     sample_configuration,
@@ -34,14 +35,14 @@ class TestEncoding:
     def test_glmnet_two_columns(self):
         space = bundled_space("glmnet")
         rows = brier_rows(space, [({"alpha": 0.5, "lambda": 0.0}, 0.2)])
-        matrix = encode(space, rows, "brier", DatasetInfo("d", 50, 4))
+        matrix = encode(space, rows, "brier")
         assert matrix.features.shape == (1, 2)
         assert matrix.columns == ("alpha", "lambda")
 
     def test_svm_inactive_gamma_midpoint_and_indicator(self):
         space = bundled_space("svm")
         rows = brier_rows(space, [({"kernel": "linear", "cost": 1.0}, 0.3)])
-        matrix = encode(space, rows, "brier", DatasetInfo("d", 50, 4))
+        matrix = encode(space, rows, "brier")
         cols = dict(zip(matrix.columns, matrix.features[0]))
         assert cols["gamma"] == 0.0  # midpoint of [-10, 10]
         assert cols["gamma__active"] == 0.0
@@ -53,19 +54,19 @@ class TestEncoding:
         space = bundled_space("kknn")
         rows = [ExperimentRow("d", make_configuration(space, {"k": 5}),
                               {"auc": 0.8})]
-        matrix = encode(space, rows, "auc", DatasetInfo("d", 50, 4))
+        matrix = encode(space, rows, "auc")
         assert matrix.targets[0] == -0.8
 
     def test_empty_rows_error(self):
         with pytest.raises(ValueError, match="empty"):
-            encode(bundled_space("kknn"), [], "auc", DatasetInfo("d", 50, 4))
+            encode(bundled_space("kknn"), [], "auc")
 
 
 class TestRegressors:
     def fit_on(self, kind, xs, ys, seed=0, **params):
         space = numeric_space(0.0, 1.0)
         rows = brier_rows(space, [({"x": float(x)}, float(t)) for x, t in zip(xs, ys)])
-        matrix = encode(space, rows, "brier", DatasetInfo("d", 50, 4))
+        matrix = encode(space, rows, "brier")
         return fit_surrogate(kind, matrix, seed=seed, **params), space
 
     def query(self, model, space, xs):
@@ -236,3 +237,14 @@ class TestCache:
         fit_all_surrogates(smooth_sine_meta(n_rows=60, seed=5), "brier",
                            kind="constant", seed=1, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.pkl"))) == 2
+
+    def test_foreign_cache_file_rejected(self, tmp_path):
+        meta = smooth_sine_meta(n_rows=60, seed=4)
+        models = fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.pkl")
+        other_dataset = models["d0"]
+        other_dataset.dataset_id = "d9"
+        for foreign in ("not a model", other_dataset):
+            path.write_bytes(pickle.dumps(foreign))
+            with pytest.raises(ValueError, match=path.name):
+                fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ class TestMinimize:
         res = minimize(pred, space, GRID)
         assert res.config.values["p0"] == 0
         assert res.tie_count == 3
+
+    def test_tie_logged_once(self, caplog):
+        space, _, pred, _ = table_setup([3], [0.2, 0.2, 0.2])
+        with caplog.at_level(logging.WARNING, logger="tunemeter.tunability"):
+            minimize(pred, space, GRID, context="flat")
+            minimize(table_setup([3], [0.3, 0.1, 0.5])[2], space, GRID, context="peaked")
+        (record,) = caplog.records
+        assert record.name == "tunemeter.tunability"
+        assert record.getMessage() == ("search 'flat' ends in a 3-way tie over 3 candidates; "
+                                       "the first found wins")
 
     def test_first_found_tie_break_matches_product_order(self):
         space, cells, pred, table = table_setup([2, 2], [0.5, 0.1, 0.3, 0.1])
@@ -135,7 +147,7 @@ class TestDatasetOptimum:
 
         space = numeric_space(0.0, 1.0)
         meta = meta_from_values(space, {"d": [({"x": 0.5}, {"brier": 0.12})]})
-        matrix = encode(space, meta.rows, "brier", meta.dataset_infos[0])
+        matrix = encode(space, meta.rows, "brier")
         model = fit_surrogate("knn_reg", matrix, k=1)
         res = dataset_optimum(model, space, OptimizerSpec(mode="grid", levels=5))
         assert res.risk == pytest.approx(0.12)
@@ -355,9 +367,6 @@ class TestConditionalReference:
         space = bundled_space("svm")
 
         class SvmPred:
-            def predict(self, config):
-                return self.predict_many([config])[0]
-
             def predict_many(self, configs):
                 out = []
                 for c in configs:
