@@ -108,6 +108,25 @@ class LabeledDataset:
     y: np.ndarray
     info: DatasetInfo
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ValueError unless X is finite (n, p), y is (n,) and labels are 0 or 1."""
+        X, y, info = np.asarray(self.X, dtype=float), np.asarray(self.y), self.info
+        if X.shape != (info.n, info.p):
+            raise ValueError(
+                f"dataset {info.id!r}: X has shape {X.shape}, info says ({info.n}, {info.p})")
+        if y.shape != (info.n,):
+            raise ValueError(f"dataset {info.id!r}: y has shape {y.shape}, info says ({info.n},)")
+        finite = np.isfinite(X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"dataset {info.id!r}: non-finite feature X[{i}, {j}] = {X[i, j]}")
+        outside = y[~np.isin(y, (0, 1))]
+        if outside.size:
+            raise ValueError(f"dataset {info.id!r}: label {outside[0]} is not 0 or 1")
+
 
 def make_synthetic_dataset(
     family: str, n: int, p: int, separation: float, seed: int
@@ -197,6 +216,14 @@ class _ElasticNetLogReg:
     features: 500 iterations, step 0.1, soft thresholding for the L1 part
     and a closed-form shrink for the L2 part (a plain gradient step would
     diverge for the large penalties the sampling scale can produce).
+
+    `fit_folds` trains the folds of one configuration together. Each fold's
+    rows are standardized with that fold's own mean and sd and stacked into
+    an (F, L, p) array, shorter folds padded with zero rows whose residuals
+    a mask zeroes; one descent then updates an (F, p) weight matrix and an
+    (F,) intercept. Every fold gets the weights a separate fit on its rows
+    gives: bit for bit when the folds have equal sizes, to rounding
+    otherwise. `fit` is the one-fold case.
     """
 
     ITERATIONS = 500
@@ -207,29 +234,53 @@ class _ElasticNetLogReg:
         self.lam = float(lam)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._mu = X.mean(axis=0)
-        sd = X.std(axis=0)
-        self._sd = np.where(sd > 0, sd, 1.0)
-        Xs = (X - self._mu) / self._sd
-        n = X.shape[0]
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        thr = self.STEP * self.lam * self.alpha
-        shrink = 1.0 + self.STEP * self.lam * (1.0 - self.alpha)
-        for _ in range(self.ITERATIONS):
-            resid = _sigmoid(Xs @ w + b) - y
-            w = w - self.STEP * (Xs.T @ resid) / n
-            b = b - self.STEP * float(resid.mean())
-            w = np.sign(w) * np.maximum(np.abs(w) - thr, 0.0) / shrink
-        self.coef_ = w
-        self.intercept_ = b
+        self.fit_folds([X], [y])
+        self.coef_ = self._coef[0]
+        self.intercept_ = float(self._intercept[0])
         return self
 
     def predict_proba(self, X):
-        Xs = (np.asarray(X, dtype=float) - self._mu) / self._sd
-        return _sigmoid(Xs @ self.coef_ + self.intercept_)
+        return self.predict_folds([X])[0]
+
+    def fit_folds(self, Xs: Sequence, ys: Sequence):
+        """Train one model per (X, y) fold in a single stacked descent."""
+        Xs = [np.asarray(X, dtype=float) for X in Xs]
+        sizes = np.array([X.shape[0] for X in Xs])
+        F, L, p = len(Xs), int(sizes.max()), Xs[0].shape[1]
+        Z = np.zeros((F, L, p))
+        Y = np.zeros((F, L))
+        mask = np.zeros((F, L))
+        self._mu = np.empty((F, p))
+        self._sd = np.empty((F, p))
+        for f, (X, y) in enumerate(zip(Xs, ys)):
+            self._mu[f] = X.mean(axis=0)
+            sd = X.std(axis=0)
+            self._sd[f] = np.where(sd > 0, sd, 1.0)
+            Z[f, : sizes[f]] = (X - self._mu[f]) / self._sd[f]
+            Y[f, : sizes[f]] = y
+            mask[f, : sizes[f]] = 1.0
+        Zt = Z.transpose(0, 2, 1)
+        n = sizes.astype(float)
+        w = np.zeros((F, p))
+        b = np.zeros(F)
+        thr = self.STEP * self.lam * self.alpha
+        shrink = 1.0 + self.STEP * self.lam * (1.0 - self.alpha)
+        for _ in range(self.ITERATIONS):
+            resid = (_sigmoid((Z @ w[:, :, None])[:, :, 0] + b[:, None]) - Y) * mask
+            w = w - self.STEP * (Zt @ resid[:, :, None])[:, :, 0] / n[:, None]
+            b = b - self.STEP * (resid.sum(axis=1) / n)
+            w = np.sign(w) * np.maximum(np.abs(w) - thr, 0.0) / shrink
+        self._coef = w
+        self._intercept = b
+        return self
+
+    def predict_folds(self, Xs: Sequence) -> list[np.ndarray]:
+        """Probabilities of each fold's rows under that fold's model."""
+        out = []
+        for f, X in enumerate(Xs):
+            Z = (np.asarray(X, dtype=float) - self._mu[f]) / self._sd[f]
+            out.append(_sigmoid(Z @ self._coef[f] + self._intercept[f]))
+        return out
 
 
 class _CartClassifier:
@@ -326,14 +377,27 @@ class _CartClassifier:
 def _build_learner(spec: ToyLearnerSpec, params: dict):
     if spec.kind == "knn_classifier":
         return _KnnClassifier(k=params["k"])
-    if spec.kind == "elasticnet_logreg":
-        return _ElasticNetLogReg(alpha=params["alpha"], lam=params["lambda"])
     return _CartClassifier(
         cp=params["cp"],
         maxdepth=params["maxdepth"],
         minbucket=params["minbucket"],
         minsplit=params["minsplit"],
     )
+
+
+def _fold_probabilities(
+    spec: ToyLearnerSpec, params: dict, X: np.ndarray, y: np.ndarray,
+    train_sets: list[np.ndarray], test_sets: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Each fold's predicted test probabilities; elastic-net folds train together."""
+    if spec.kind == "elasticnet_logreg":
+        model = _ElasticNetLogReg(alpha=params["alpha"], lam=params["lambda"])
+        model.fit_folds([X[i] for i in train_sets], [y[i] for i in train_sets])
+        return model.predict_folds([X[i] for i in test_sets])
+    return [
+        _build_learner(spec, params).fit(X[train], y[train]).predict_proba(X[test])
+        for train, test in zip(train_sets, test_sets)
+    ]
 
 
 # -- cross-validation ------------------------------------------------------------
@@ -357,6 +421,13 @@ def stratified_folds(y: np.ndarray, k_folds: int, rng: np.random.Generator) -> l
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
+_FOLD_MEASURES = {
+    "auc": auc,
+    "accuracy": lambda probs, y: accuracy((probs >= 0.5).astype(int), y),
+    "brier": brier,
+}
+
+
 def cross_validate(
     learner: ToyLearnerSpec,
     config: Configuration,
@@ -369,8 +440,15 @@ def cross_validate(
 
     The configuration is validated against the learner's space and passed
     through its transformations (with this dataset's n and p) before
-    training.
+    training. The elastic-net learner trains all folds of the configuration
+    in one stacked descent; the measures are those of separate per-fold
+    fits. Unknown measures, bad data and non-finite predicted probabilities
+    raise ValueError.
     """
+    unknown = [m for m in measures if m not in _FOLD_MEASURES]
+    if unknown:
+        raise ValueError(f"unknown measure {unknown[0]!r}")
+    dataset.validate()
     space = learner.space()
     violations = validate_configuration(space, config)
     if violations:
@@ -378,25 +456,21 @@ def cross_validate(
     params = effective_values(space, config, dataset.info)
     rng = np.random.default_rng(seed)
     folds = stratified_folds(dataset.y, k_folds, rng)
-    totals = {m: 0.0 for m in measures}
     all_idx = np.arange(dataset.info.n)
+    train_sets = []
     for test_idx in folds:
         train_mask = np.ones(dataset.info.n, dtype=bool)
         train_mask[test_idx] = False
-        train_idx = all_idx[train_mask]
-        model = _build_learner(learner, params)
-        model.fit(dataset.X[train_idx], dataset.y[train_idx])
-        probs = np.clip(model.predict_proba(dataset.X[test_idx]), 0.0, 1.0)
+        train_sets.append(all_idx[train_mask])
+    fold_probs = _fold_probabilities(learner, params, dataset.X, dataset.y, train_sets, folds)
+    totals = {m: 0.0 for m in measures}
+    for f, (test_idx, probs) in enumerate(zip(folds, fold_probs)):
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"non-finite predicted probability in fold {f}")
+        probs = np.clip(probs, 0.0, 1.0)
         y_test = dataset.y[test_idx]
         for m in measures:
-            if m == "auc":
-                totals[m] += auc(probs, y_test)
-            elif m == "accuracy":
-                totals[m] += accuracy((probs >= 0.5).astype(int), y_test)
-            elif m == "brier":
-                totals[m] += brier(probs, y_test)
-            else:
-                raise ValueError(f"unknown measure {m!r}")
+            totals[m] += _FOLD_MEASURES[m](probs, y_test)
     return {m: totals[m] / len(folds) for m in measures}
 
 
@@ -418,6 +492,8 @@ def generate_bot_data(
     """
     if rows_per_pair < 1:
         raise ValueError("rows_per_pair must be >= 1")
+    for ds in datasets:
+        ds.validate()
     tasks = []
     for learner in learners:
         for ds in datasets:

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunemeter.hyperspace import (
     Configuration,
@@ -11,12 +14,14 @@ from tunemeter.hyperspace import (
     validate_configuration,
 )
 from tunemeter.metadata import (
+    TOY_LEARNER_KINDS,
     LabeledDataset,
     MetaDataset,
     MetaFormatError,
     ExperimentRow,
     ToyLearnerSpec,
     _ElasticNetLogReg,
+    _KnnClassifier,
     cross_validate,
     generate_bot_data,
     make_synthetic_dataset,
@@ -69,6 +74,48 @@ class TestSyntheticDatasets:
         learner = ToyLearnerSpec("knn_classifier", folds=5)
         res = cross_validate(learner, knn_config(5), ds, 5, ("auc",), seed=0)
         assert res["auc"] > 0.95
+
+
+class TestLabeledDatasetChecks:
+    def blob(self):
+        return make_synthetic_dataset("gaussian_blobs", n=60, p=3, separation=2, seed=0)
+
+    def test_non_finite_feature_rejected_at_construction(self):
+        ds = self.blob()
+        X = ds.X.copy()
+        X[5, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite feature X\[5, 1\]"):
+            LabeledDataset(X, ds.y, ds.info)
+        X[5, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            LabeledDataset(X, ds.y, ds.info)
+
+    def test_non_finite_feature_set_later_fails_the_bot(self):
+        # a NaN written after construction used to give NaN elastic-net measures
+        ds = self.blob()
+        ds.X[5, 1] = np.nan
+        learners = [ToyLearnerSpec(kind, folds=5) for kind in TOY_LEARNER_KINDS]
+        with pytest.raises(ValueError, match="non-finite feature"):
+            generate_bot_data(learners, [ds], rows_per_pair=2, seed=0)
+        cfg = make_configuration(bundled_space("glmnet"), {"alpha": 0.5, "lambda": -3.0})
+        with pytest.raises(ValueError, match="non-finite feature"):
+            cross_validate(learners[1], cfg, ds, 5, ("auc",), seed=0)
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_labels_outside_zero_one_rejected(self, label):
+        ds = self.blob()
+        y = ds.y.astype(float)
+        y[7] = label
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            LabeledDataset(ds.X, y, ds.info)
+
+    @pytest.mark.parametrize("n, p, y_len", [(59, 3, 60), (60, 2, 60), (60, 3, 59)])
+    def test_shapes_must_match_info(self, n, p, y_len):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((n, p))
+        y = np.arange(y_len) % 2
+        with pytest.raises(ValueError, match="shape"):
+            LabeledDataset(X, y, DatasetInfo("d", n=60, p=3))
 
 
 class TestStratifiedFolds:
@@ -132,12 +179,106 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(learner, knn_config(3), ds, 21, ("auc",), seed=0)
 
+    def test_unknown_measure_rejected_before_training(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(_KnnClassifier, "fit",
+                            lambda self, X, y: fits.append(1) or self)
+        ds = make_synthetic_dataset("gaussian_blobs", n=20, p=2, separation=2, seed=0)
+        learner = ToyLearnerSpec("knn_classifier", folds=5)
+        with pytest.raises(ValueError, match="unknown measure 'logloss'"):
+            cross_validate(learner, knn_config(3), ds, 5, ("auc", "logloss"), seed=0)
+        assert fits == []
+
+    def test_non_finite_probabilities_drop_the_row(self, caplog):
+        # finite features whose mean overflows give NaN elastic-net probabilities
+        base = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
+        X = base.X.copy()
+        X[:, 1] = 1e308
+        ds = LabeledDataset(X, base.y, DatasetInfo("huge", n=40, p=2))
+        learner = ToyLearnerSpec("elasticnet_logreg", folds=4)
+        cfg = make_configuration(bundled_space("glmnet"), {"alpha": 0.5, "lambda": -3.0})
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite predicted probability in fold 0"):
+                cross_validate(learner, cfg, ds, 4, ("auc",), seed=0)
+            with caplog.at_level(logging.WARNING, logger="tunemeter.metadata"):
+                metas = generate_bot_data([learner], [ds], rows_per_pair=2, seed=0)
+        assert metas["glmnet"].rows == []
+        assert "dropping elasticnet_logreg row 1 on huge: non-finite" in caplog.text
+
     def test_invalid_configuration_rejected(self):
         ds = make_synthetic_dataset("gaussian_blobs", n=20, p=2, separation=2, seed=0)
         learner = ToyLearnerSpec("knn_classifier", folds=5)
         cfg = make_configuration(bundled_space("kknn"), {"k": 77})
         with pytest.raises(ValueError, match="invalid configuration"):
             cross_validate(learner, cfg, ds, 5, ("auc",), seed=0)
+
+
+def _separate_and_stacked_fits(n, n_pos, k_folds, alpha, lam, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.array([0] * (n - n_pos) + [1] * n_pos))
+    X = rng.standard_normal((n, 3)) * [1.0, 3.0, 0.1] + [0.0, 5.0, -2.0]
+    X[y == 1, 0] += 1.5
+    folds = stratified_folds(y, k_folds, rng)
+    trains = [np.setdiff1d(np.arange(n), test) for test in folds]
+    stacked = _ElasticNetLogReg(alpha, lam).fit_folds([X[t] for t in trains],
+                                                      [y[t] for t in trains])
+    separate = [_ElasticNetLogReg(alpha, lam).fit(X[t], y[t]) for t in trains]
+    return X, folds, stacked, separate
+
+
+class TestStackedElasticNet:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(21, 81).map(lambda n: n | 1),
+        pos_share=st.floats(0.2, 0.8),
+        k_folds=st.integers(2, 10),
+        alpha=st.floats(0.0, 1.0),
+        log2_lambda=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_folds_match_separate_fits(self, n, pos_share, k_folds, alpha,
+                                               log2_lambda, seed):
+        n_pos = min(max(round(n * pos_share), k_folds), n - k_folds)
+        X, folds, stacked, separate = _separate_and_stacked_fits(
+            n, n_pos, k_folds, alpha, 2.0 ** log2_lambda, seed)
+        probs = stacked.predict_folds([X[test] for test in folds])
+        for f, (test, one) in enumerate(zip(folds, separate)):
+            np.testing.assert_allclose(stacked._coef[f], one.coef_, rtol=1e-12, atol=1e-12)
+            assert stacked._intercept[f] == pytest.approx(one.intercept_, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(probs[f], one.predict_proba(X[test]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_unequal_folds_are_padded(self):
+        X, folds, stacked, separate = _separate_and_stacked_fits(23, 9, 4, 0.3, 0.05, 1)
+        assert len({test.size for test in folds}) > 1
+        assert stacked._coef.shape == (4, 3)
+        for f, one in enumerate(separate):
+            np.testing.assert_allclose(stacked._coef[f], one.coef_, rtol=1e-12, atol=1e-12)
+
+    def test_bot_measures_pinned(self):
+        # full-precision elastic-net measures of the per-fold trainer this one replaced
+        datasets = [
+            make_synthetic_dataset("gaussian_blobs", n=41, p=3, separation=2, seed=5),
+            make_synthetic_dataset("gaussian_blobs", n=50, p=4, separation=1.5, seed=8),
+        ]
+        metas = generate_bot_data([ToyLearnerSpec("elasticnet_logreg", folds=5)], datasets,
+                                  rows_per_pair=3, seed=3)
+        got = [(row.config.values["alpha"], row.config.values["lambda"],
+                row.measures["auc"], row.measures["accuracy"], row.measures["brier"])
+               for row in metas["glmnet"].rows]
+        assert got == [
+            (0.3360336468344598, -6.086466609561225,
+             0.9075, 0.8027777777777778, 0.11905729904607369),
+            (0.5283385479698292, -2.2608187294445248,
+             0.9275, 0.8277777777777778, 0.14824510158027918),
+            (0.47379389307883635, 1.2415047503496552,
+             0.5, 0.48888888888888893, 0.2501836535492072),
+            (0.3760026138896735, -4.350634399907209,
+             0.728, 0.5599999999999999, 0.20464419143235588),
+            (0.5712593971304359, -2.963593657215357,
+             0.744, 0.5999999999999999, 0.20814776718632766),
+            (0.7345468929920094, 8.658414760857287, 0.5, 0.5, 0.25),
+        ]
 
 
 class TestBot:
