@@ -380,6 +380,15 @@ def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> list:
     return [levels[i] for i in rng.integers(0, len(levels), size).tolist()]
 
 
+def _check_fixed(space: SearchSpace, fixed: dict[str, Any]) -> None:
+    """Raise SpaceError unless each fixed value names a parameter and lies in its range."""
+    for name, value in fixed.items():
+        if name not in space:
+            raise SpaceError(f"fixed value for unknown parameter {name!r}")
+        if not space[name].contains(value):
+            raise SpaceError(f"fixed value {value!r} of {name!r} is outside its bounds or levels")
+
+
 def sample_configurations(
     space: SearchSpace,
     rng: np.random.Generator,
@@ -391,15 +400,15 @@ def sample_configurations(
     Draws go column by column in draw order (parents before children), one
     vectorised generator call per drawn parameter, so one row reproduces
     the stream of drawing a single configuration. Parameters named in
-    ``fixed`` are pinned instead of drawn. A conditional parameter is drawn
-    only for the rows whose (pinned or drawn) parent activates it; the
-    other rows carry its fixed or placeholder value flagged inactive.
+    ``fixed`` are pinned instead of drawn; an unknown name or a value
+    outside its parameter's bounds or levels raises SpaceError. A
+    conditional parameter is drawn only for the rows whose (pinned or
+    drawn) parent activates it; the other rows carry its fixed or
+    placeholder value flagged inactive.
     Drawn values are plain Python ``float``/``int``/``str``.
     """
     fixed = fixed or {}
-    unknown = [name for name in fixed if name not in space]
-    if unknown:
-        raise SpaceError(f"fixed values for unknown parameters: {', '.join(unknown)}")
+    _check_fixed(space, fixed)
     order = space.draw_order()
     columns: dict[str, list] = {}
     flags: list[list[bool]] = []

@@ -6,6 +6,10 @@ come from a built-in random bot that samples configurations uniformly and
 scores three cheap deterministic learners (nearest neighbors, elastic-net
 logistic regression, a classification tree) on synthetic datasets via
 stratified cross-validation.
+
+The classification tree is the surrogates' CART tree on the 0/1 labels: a
+node's Gini cost there is 2 × its sum of squared errors, so the tree makes
+rpart's Gini splits, and cp, relative to the root impurity, is unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import numpy as np
 
 from ._rng import _parallel_map, derive_rng, stable_hash
+from ._tree import _CartReg
 from .hyperspace import (
     Configuration,
     DatasetInfo,
@@ -216,6 +221,10 @@ class _ElasticNetLogReg:
     features: 500 iterations, step 0.1, soft thresholding for the L1 part
     and a closed-form shrink for the L2 part (a plain gradient step would
     diverge for the large penalties the sampling scale can produce).
+    Each column is first divided by a power of two near its largest
+    magnitude: the division is exact, so standardizing gives the same
+    features, but a mean or sd of features near the float maximum cannot
+    overflow.
 
     `fit_folds` trains the folds of one configuration together. Each fold's
     rows are standardized with that fold's own mean and sd and stacked into
@@ -250,9 +259,13 @@ class _ElasticNetLogReg:
         Z = np.zeros((F, L, p))
         Y = np.zeros((F, L))
         mask = np.zeros((F, L))
+        self._scale = np.empty((F, p))
         self._mu = np.empty((F, p))
         self._sd = np.empty((F, p))
         for f, (X, y) in enumerate(zip(Xs, ys)):
+            _, exponent = np.frexp(np.abs(X).max(axis=0))
+            self._scale[f] = np.ldexp(1.0, exponent - 1)
+            X = X / self._scale[f]
             self._mu[f] = X.mean(axis=0)
             sd = X.std(axis=0)
             self._sd[f] = np.where(sd > 0, sd, 1.0)
@@ -278,111 +291,16 @@ class _ElasticNetLogReg:
         """Probabilities of each fold's rows under that fold's model."""
         out = []
         for f, X in enumerate(Xs):
-            Z = (np.asarray(X, dtype=float) - self._mu[f]) / self._sd[f]
+            Z = (np.asarray(X, dtype=float) / self._scale[f] - self._mu[f]) / self._sd[f]
             out.append(_sigmoid(Z @ self._coef[f] + self._intercept[f]))
-        return out
-
-
-class _CartClassifier:
-    """Gini classification tree with rpart-style stopping controls.
-
-    cp is the minimum improvement of a split relative to the root impurity,
-    minsplit the smallest node worth splitting, minbucket the smallest
-    allowed leaf, maxdepth the deepest node allowed to split further.
-    """
-
-    def __init__(self, cp: float, maxdepth: int, minbucket: int, minsplit: int):
-        self.cp = float(cp)
-        self.maxdepth = int(maxdepth)
-        self.minbucket = int(minbucket)
-        self.minsplit = int(minsplit)
-
-    @staticmethod
-    def _gini_cost(y):
-        n = y.size
-        if n == 0:
-            return 0.0
-        frac = y.mean()
-        return 2.0 * frac * (1.0 - frac) * n
-
-    def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._root_cost = self._gini_cost(y)
-        self._tree = self._build(X, y, depth=0)
-        return self
-
-    def _best_split(self, X, y):
-        best = None
-        node_cost = self._gini_cost(y)
-        n = y.size
-        lo, hi = self.minbucket, n - self.minbucket
-        if lo > hi:
-            return None
-        for f in range(X.shape[1]):
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            pos = np.cumsum(ys)
-            for i in range(lo, hi + 1):
-                # i = left child size; no split between equal feature values
-                if xs[i - 1] == xs[i]:
-                    continue
-                left_pos = pos[i - 1]
-                right_pos = pos[-1] - left_pos
-                left_frac = left_pos / i
-                right_frac = right_pos / (n - i)
-                cost = (2.0 * left_frac * (1 - left_frac) * i
-                        + 2.0 * right_frac * (1 - right_frac) * (n - i))
-                gain = node_cost - cost
-                if best is None or gain > best[0]:
-                    best = (gain, f, (xs[i - 1] + xs[i]) / 2.0)
-        return best
-
-    def _build(self, X, y, depth):
-        leaf = {"leaf": True, "prob": float(y.mean()) if y.size else 0.0}
-        if (
-            y.size < self.minsplit
-            or y.size < 2 * self.minbucket
-            or depth >= self.maxdepth
-            or self._root_cost == 0.0
-            or y.min() == y.max()
-        ):
-            return leaf
-        best = self._best_split(X, y)
-        if best is None:
-            return leaf
-        gain, f, thr = best
-        if gain / self._root_cost < self.cp or gain <= 0.0:
-            return leaf
-        mask = X[:, f] <= thr
-        return {
-            "leaf": False,
-            "feature": f,
-            "threshold": thr,
-            "left": self._build(X[mask], y[mask], depth + 1),
-            "right": self._build(X[~mask], y[~mask], depth + 1),
-        }
-
-    def predict_proba(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self._tree
-            while not node["leaf"]:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-            out[i] = node["prob"]
         return out
 
 
 def _build_learner(spec: ToyLearnerSpec, params: dict):
     if spec.kind == "knn_classifier":
         return _KnnClassifier(k=params["k"])
-    return _CartClassifier(
-        cp=params["cp"],
-        maxdepth=params["maxdepth"],
-        minbucket=params["minbucket"],
-        minsplit=params["minsplit"],
-    )
+    return _CartReg(min_leaf=params["minbucket"], max_depth=params["maxdepth"],
+                    min_split=params["minsplit"], cp=params["cp"])
 
 
 def _fold_probabilities(

@@ -9,8 +9,8 @@ the bounds midpoint.
 
 Five interchangeable regressor kinds are provided: a constant mean, least
 squares, distance-weighted nearest neighbors, a variance-reduction
-regression tree, and a bagged forest of such trees with per-split feature
-subsampling.
+regression tree (the CART tree the toy bot also trains), and a bagged
+forest of such trees with per-split feature subsampling.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import derive_rng
+from ._tree import _CartReg
 from .hyperspace import Configuration, SearchSpace
 from .metadata import ExperimentRow, MetaDataset
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
@@ -32,7 +33,7 @@ SURROGATE_KINDS = ("constant", "linear", "knn_reg", "cart_reg", "forest_reg")
 # fixed tie-break order for selection, best candidate first
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
 # hashed into every cache key; bump it when pickled models change shape
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 # -- encoding --------------------------------------------------------------------
@@ -176,96 +177,6 @@ class _KnnReg:
                           / np.maximum(n_exact, 1))
             out[start:start + self.CHUNK] = np.where(has_exact, exact_mean, plain)
         return out
-
-
-class _CartReg:
-    """Binary regression tree splitting on weighted variance reduction.
-
-    Array-coded nodes (feature < 0 marks a leaf) so batch prediction is a
-    short vectorized loop over depth. Leaf predictions are exact leaf means.
-    """
-
-    def __init__(self, min_leaf: int = 5, max_depth: int = 20, split_features: int = 0):
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.split_features = split_features  # 0 means all features
-
-    def fit(self, X, y, rng=None):
-        self._features: list[int] = []
-        self._thresholds: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._values: list[float] = []
-        self._build(X, y, np.arange(X.shape[0]), 0, rng)
-        self.feature = np.array(self._features, dtype=np.int32)
-        self.threshold = np.array(self._thresholds)
-        self.left = np.array(self._left, dtype=np.int32)
-        self.right = np.array(self._right, dtype=np.int32)
-        self.value = np.array(self._values)
-        return self
-
-    def _new_node(self, value: float) -> int:
-        node = len(self._values)
-        self._features.append(-1)
-        self._thresholds.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._values.append(value)
-        return node
-
-    def _candidate_features(self, n_cols: int, rng) -> np.ndarray:
-        if self.split_features and rng is not None and self.split_features < n_cols:
-            feats = rng.choice(n_cols, size=self.split_features, replace=False)
-            return np.sort(feats)
-        return np.arange(n_cols)
-
-    def _build(self, X, y, idx, depth, rng) -> int:
-        y_node = y[idx]
-        node = self._new_node(float(y_node.mean()))
-        n = idx.size
-        if depth >= self.max_depth or n < 2 * self.min_leaf or y_node.min() == y_node.max():
-            return node
-        best = None  # (sse, feature, threshold, order, split_pos)
-        for f in self._candidate_features(X.shape[1], rng):
-            order = np.argsort(X[idx, f], kind="stable")
-            xs = X[idx[order], f]
-            ys = y_node[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys * ys)
-            total, total_sq = csum[-1], csq[-1]
-            pos = np.arange(self.min_leaf, n - self.min_leaf + 1)
-            pos = pos[xs[pos - 1] < xs[pos]]
-            if pos.size == 0:
-                continue
-            left_sum, left_sq = csum[pos - 1], csq[pos - 1]
-            right_sum, right_sq = total - left_sum, total_sq - left_sq
-            sse = (left_sq - left_sum ** 2 / pos) + (right_sq - right_sum ** 2 / (n - pos))
-            j = int(np.argmin(sse))
-            if best is None or sse[j] < best[0]:
-                i = int(pos[j])
-                best = (float(sse[j]), int(f), (xs[i - 1] + xs[i]) / 2.0, order, i)
-        if best is None:
-            return node
-        _, f, thr, order, i = best
-        left_idx, right_idx = idx[order[:i]], idx[order[i:]]
-        self._features[node] = f
-        self._thresholds[node] = thr
-        self._left[node] = self._build(X, y, left_idx, depth + 1, rng)
-        self._right[node] = self._build(X, y, right_idx, depth + 1, rng)
-        return node
-
-    def predict(self, X):
-        pos = np.zeros(X.shape[0], dtype=np.int32)
-        row_ids = np.arange(X.shape[0])
-        for _ in range(self.max_depth + 1):
-            feats = self.feature[pos]
-            at_leaf = feats < 0
-            if at_leaf.all():
-                break
-            go_left = X[row_ids, np.maximum(feats, 0)] <= self.threshold[pos]
-            nxt = np.where(go_left, self.left[pos], self.right[pos])
-            pos = np.where(at_leaf, pos, nxt)
-        return self.value[pos]
 
 
 class _ForestReg:

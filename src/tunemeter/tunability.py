@@ -23,6 +23,7 @@ from ._rng import _parallel_map, derive_rng
 from .hyperspace import (
     Configuration,
     SearchSpace,
+    _check_fixed,
     grid_values,
     resolve_active,
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
@@ -86,14 +87,13 @@ def _grid_configs(
 ) -> list[Configuration]:
     """Every grid cell, lexicographic in draw order (parents before children).
 
-    Fixed parameters contribute a single value; conditional parameters whose
+    Fixed parameters contribute a single value, which must lie in their
+    bounds or levels (SpaceError otherwise); conditional parameters whose
     parent value deactivates them contribute their fixed or placeholder
     value flagged inactive.
     """
     fixed = fixed or {}
-    unknown = [name for name in fixed if name not in space]
-    if unknown:
-        raise ValueError(f"fixed values for unknown parameters: {', '.join(unknown)}")
+    _check_fixed(space, fixed)
     order = space.draw_order()
     out: list[Configuration] = []
     values: dict = {}
@@ -252,6 +252,13 @@ def tunability_algorithm(
     return AlgorithmTunability(reference_label, per, aggregate_all(per.values()))
 
 
+def _require_active(reference: Configuration, *names: str) -> None:
+    for name in names:
+        if not reference.active.get(name, False):
+            raise ValueError(f"parameter {name!r} is inactive under the reference; "
+                             "adjust it with conditional_reference first")
+
+
 @dataclass
 class ParamDatasetResult:
     best_value: object
@@ -271,11 +278,7 @@ def tunability_parameter(
     """Gain from tuning one parameter while all others sit at the reference."""
     if param not in space:
         raise ValueError(f"unknown parameter {param!r}")
-    if not reference.active.get(param, False):
-        raise ValueError(
-            f"parameter {param!r} is inactive under the reference; "
-            "adjust it with conditional_reference first"
-        )
+    _require_active(reference, param)
     fixed = {name: reference.values[name] for name in space.names if name != param}
     res = minimize(predictor, space, optimizer, fixed=fixed,
                    context=f"param:{param}:{context}")
@@ -316,12 +319,7 @@ def tunability_pair(
     """
     if i1 == i2:
         raise ValueError("pair needs two distinct parameters")
-    for name in (i1, i2):
-        if not reference.active.get(name, False):
-            raise ValueError(
-                f"parameter {name!r} is inactive under the reference; "
-                "adjust it with conditional_reference first"
-            )
+    _require_active(reference, i1, i2)
     ref_risk = float(predictor.predict_many([reference])[0])
     fixed = {n: reference.values[n] for n in space.names if n not in (i1, i2)}
     joint = minimize(predictor, space, optimizer, fixed=fixed,
@@ -363,9 +361,7 @@ def sequential_tuning(
     """Tune `first` with everything else at the reference, freeze its optimum,
     then tune `second`; returns the final risk for comparison with the joint
     optimum."""
-    for name in (first, second):
-        if not reference.active.get(name, False):
-            raise ValueError(f"parameter {name!r} is inactive under the reference")
+    _require_active(reference, first, second)
     fixed1 = {n: reference.values[n] for n in space.names if n != first}
     step1 = minimize(predictor, space, optimizer, fixed=fixed1,
                      context=f"seq1:{first}:{second}:{context}")

@@ -189,21 +189,36 @@ class TestCrossValidate:
             cross_validate(learner, knn_config(3), ds, 5, ("auc", "logloss"), seed=0)
         assert fits == []
 
-    def test_non_finite_probabilities_drop_the_row(self, caplog):
-        # finite features whose mean overflows give NaN elastic-net probabilities
+    def test_non_finite_probabilities_drop_the_row(self, caplog, monkeypatch):
+        monkeypatch.setattr(_ElasticNetLogReg, "predict_folds",
+                            lambda self, Xs: [np.full(len(X), np.nan) for X in Xs])
         base = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
-        X = base.X.copy()
-        X[:, 1] = 1e308
-        ds = LabeledDataset(X, base.y, DatasetInfo("huge", n=40, p=2))
+        ds = LabeledDataset(base.X, base.y, DatasetInfo("blob", n=40, p=2))
         learner = ToyLearnerSpec("elasticnet_logreg", folds=4)
         cfg = make_configuration(bundled_space("glmnet"), {"alpha": 0.5, "lambda": -3.0})
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="non-finite predicted probability in fold 0"):
-                cross_validate(learner, cfg, ds, 4, ("auc",), seed=0)
-            with caplog.at_level(logging.WARNING, logger="tunemeter.metadata"):
-                metas = generate_bot_data([learner], [ds], rows_per_pair=2, seed=0)
+        with pytest.raises(ValueError, match="non-finite predicted probability in fold 0"):
+            cross_validate(learner, cfg, ds, 4, ("auc",), seed=0)
+        with caplog.at_level(logging.WARNING, logger="tunemeter.metadata"):
+            metas = generate_bot_data([learner], [ds], rows_per_pair=2, seed=0)
         assert metas["glmnet"].rows == []
-        assert "dropping elasticnet_logreg row 1 on huge: non-finite" in caplog.text
+        assert "dropping elasticnet_logreg row 1 on blob: non-finite" in caplog.text
+
+    def test_huge_finite_features_keep_elasticnet_rows(self):
+        # a column reaching 1e308 used to overflow the standardization into NaN;
+        # a power-of-two rescale of that column must not change a single measure
+        base = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
+        measures = []
+        for factor in (1.0, 2.0 ** -1000):
+            X = base.X.copy()
+            X[:, 1] = base.X[:, 1] / np.abs(base.X[:, 1]).max() * 1e308 * factor
+            ds = LabeledDataset(X, base.y, DatasetInfo("huge", n=40, p=2))
+            metas = generate_bot_data([ToyLearnerSpec("elasticnet_logreg", folds=4)], [ds],
+                                      rows_per_pair=3, seed=0)
+            rows = metas["glmnet"].rows
+            assert len(rows) == 3
+            assert all(np.isfinite(v) for row in rows for v in row.measures.values())
+            measures.append([row.measures for row in rows])
+        assert measures[0] == measures[1]
 
     def test_invalid_configuration_rejected(self):
         ds = make_synthetic_dataset("gaussian_blobs", n=20, p=2, separation=2, seed=0)

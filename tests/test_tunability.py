@@ -12,7 +12,7 @@ from bruteforce import (
     bf_sequential,
 )
 from conftest import FunctionPredictor, TablePredictor, integer_grid_space, random_table
-from tunemeter.hyperspace import bundled_space, make_configuration, parse_space
+from tunemeter.hyperspace import SpaceError, bundled_space, make_configuration, parse_space
 from tunemeter.metrics import RiskTransform, SummarySpec
 from tunemeter.tunability import (
     OptimizerSpec,
@@ -96,6 +96,18 @@ class TestMinimize:
         with pytest.raises(ValueError, match=r"non-finite risk nan on dataset 'd7' "
                                              r"for candidate \(2,\)"):
             minimize({"d7": pred}, space, optimizer)
+
+    @pytest.mark.parametrize("optimizer", [GRID, OptimizerSpec(mode="random", budget=50)])
+    @pytest.mark.parametrize("fixed, match", [
+        ({"nope": 1}, "unknown parameter 'nope'"),
+        ({"cp": 5.0, "maxdepth": 9}, "5.0 of 'cp' is outside"),
+        ({"cp": 0.5, "maxdepth": 99}, "99 of 'maxdepth' is outside"),
+        ({"minsplit": 2.5}, "2.5 of 'minsplit' is outside"),
+    ])
+    def test_fixed_values_outside_the_space_rejected(self, optimizer, fixed, match):
+        pred = FunctionPredictor(lambda cp: cp, param="cp")
+        with pytest.raises(SpaceError, match=match):
+            minimize(pred, bundled_space("rpart"), optimizer, fixed=fixed)
 
 
 class TestComputeDefaults:
@@ -216,6 +228,14 @@ class TestParameterTunability:
                 assert got.d == expected_d
                 if d > 0:
                     assert 0.0 <= got.d / d <= 1.0
+
+    def test_reference_outside_the_space_rejected(self):
+        space = bundled_space("rpart")
+        ref = make_configuration(space, {"cp": 0.01, "maxdepth": 30, "minbucket": 7,
+                                         "minsplit": 200})
+        pred = FunctionPredictor(lambda cp: cp, param="cp")
+        with pytest.raises(SpaceError, match="200 of 'minsplit'"):
+            tunability_parameter("cp", ref, pred, space, GRID)
 
     def test_inactive_parameter_routed_to_conditional(self):
         space = bundled_space("svm")
