@@ -72,7 +72,8 @@ class _CartReg:
             j = int(np.argmin(sse))
             if best is None or sse[j] < best[0]:
                 i = int(pos[j])
-                best = (float(sse[j]), int(f), (xs[i - 1] + xs[i]) / 2.0, order, i)
+                # halving first keeps the midpoint of values near the float maximum finite
+                best = (float(sse[j]), int(f), xs[i - 1] / 2.0 + xs[i] / 2.0, order, i)
         # total and total_sq hold the node's sums; a split never raises the SSE,
         # so the clamp only drops rounding below zero
         if best is None or max(total_sq - total ** 2 / n - best[0], 0.0) < self._min_gain:
@@ -95,6 +96,3 @@ class _CartReg:
             nxt = np.where(go_left, self.left[pos], self.right[pos])
             pos = np.where(at_leaf, pos, nxt)
         return self.value[pos]
-
-    # leaf means of 0/1 labels are class probabilities
-    predict_proba = predict

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
 
@@ -205,11 +205,7 @@ class Configuration:
     """
 
     values: dict[str, Any]
-    active: dict[str, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.active:
-            self.active = {name: True for name in self.values}
+    active: dict[str, bool]
 
     def key(self, space: SearchSpace) -> tuple:
         """Hashable identity: active values in space order, None when inactive."""

@@ -7,9 +7,17 @@ scores three cheap deterministic learners (nearest neighbors, elastic-net
 logistic regression, a classification tree) on synthetic datasets via
 stratified cross-validation.
 
-The classification tree is the surrogates' CART tree on the 0/1 labels: a
-node's Gini cost there is 2 × its sum of squared errors, so the tree makes
-rpart's Gini splits, and cp, relative to the root impurity, is unchanged.
+Each toy learner has `fit(X, y)` and a `predict(X)` that returns the
+probability of class 1. The classification tree is the surrogates' CART
+tree on the 0/1 labels: a node's Gini cost there is 2 × its sum of squared
+errors, so the tree makes rpart's Gini splits, and cp, relative to the root
+impurity, is unchanged.
+
+The neighbour search (`_nearest`), the column standardizer
+(`_Standardizer`) and the k-fold split (`stratified_folds`) are the
+package's only copies: the kNN surrogate and the cross-validation over
+datasets import them from here. A split with one class is a plain shuffled
+k-fold split.
 """
 
 from __future__ import annotations
@@ -192,7 +200,52 @@ class ToyLearnerSpec:
         return bundled_space(self.algorithm)
 
 
+_NEIGHBOUR_CHUNK = 4096  # query rows per block of the distance matrix
+
+
+def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into `train` of each query row's k nearest rows, and their distances.
+
+    Euclidean distance, nearest first; the stable sort keeps tied rows in
+    training order. k is capped at the number of training rows.
+    """
+    k = min(k, train.shape[0])
+    index = np.empty((query.shape[0], k), dtype=np.intp)
+    dist = np.empty((query.shape[0], k))
+    for start in range(0, query.shape[0], _NEIGHBOUR_CHUNK):
+        chunk = query[start:start + _NEIGHBOUR_CHUNK]
+        d = np.sqrt(((chunk[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        index[start:start + chunk.shape[0]] = order
+        dist[start:start + chunk.shape[0]] = np.take_along_axis(d, order, axis=1)
+    return index, dist
+
+
+class _Standardizer:
+    """Column means and sds of one matrix; calling it standardizes a matrix.
+
+    Each column is first divided by a power of two near its largest
+    magnitude. The division is exact, so the standardized values are those
+    of the raw column, but a mean or sd of features near the float maximum
+    cannot overflow. A constant column (np.ptp == 0) is centred on its value
+    with sd 1, so it standardizes to exactly 0 however its mean rounds.
+    """
+
+    def __init__(self, X: np.ndarray):
+        _, exponent = np.frexp(np.abs(X).max(axis=0))
+        self.scale = np.ldexp(1.0, exponent - 1)
+        X = X / self.scale
+        constant = np.ptp(X, axis=0) == 0
+        self.mu = np.where(constant, X[0], X.mean(axis=0))
+        self.sd = np.where(constant, 1.0, X.std(axis=0))
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return (X / self.scale - self.mu) / self.sd
+
+
 class _KnnClassifier:
+    """Share of positive labels among the k nearest training rows."""
+
     def __init__(self, k: int):
         self.k = int(k)
 
@@ -201,13 +254,9 @@ class _KnnClassifier:
         self._y = np.asarray(y, dtype=float)
         return self
 
-    def predict_proba(self, X):
-        X = np.asarray(X, dtype=float)
-        d = np.sqrt(((X[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2))
-        k = min(self.k, self._X.shape[0])
-        # stable sort keeps ties in training order
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        return self._y[order].mean(axis=1)
+    def predict(self, X):
+        index, _ = _nearest(self._X, np.asarray(X, dtype=float), self.k)
+        return self._y[index].mean(axis=1)
 
 
 def _sigmoid(z):
@@ -218,13 +267,10 @@ class _ElasticNetLogReg:
     """Logistic regression with an elastic-net penalty.
 
     Trained by proximal full-batch gradient descent on standardized
-    features: 500 iterations, step 0.1, soft thresholding for the L1 part
-    and a closed-form shrink for the L2 part (a plain gradient step would
-    diverge for the large penalties the sampling scale can produce).
-    Each column is first divided by a power of two near its largest
-    magnitude: the division is exact, so standardizing gives the same
-    features, but a mean or sd of features near the float maximum cannot
-    overflow.
+    features (`_Standardizer`): 500 iterations, step 0.1, soft thresholding
+    for the L1 part and a closed-form shrink for the L2 part (a plain
+    gradient step would diverge for the large penalties the sampling scale
+    can produce).
 
     `fit_folds` trains the folds of one configuration together. Each fold's
     rows are standardized with that fold's own mean and sd and stacked into
@@ -232,7 +278,7 @@ class _ElasticNetLogReg:
     a mask zeroes; one descent then updates an (F, p) weight matrix and an
     (F,) intercept. Every fold gets the weights a separate fit on its rows
     gives: bit for bit when the folds have equal sizes, to rounding
-    otherwise. `fit` is the one-fold case.
+    otherwise. One model is the one-fold case.
     """
 
     ITERATIONS = 500
@@ -242,15 +288,6 @@ class _ElasticNetLogReg:
         self.alpha = float(alpha)
         self.lam = float(lam)
 
-    def fit(self, X, y):
-        self.fit_folds([X], [y])
-        self.coef_ = self._coef[0]
-        self.intercept_ = float(self._intercept[0])
-        return self
-
-    def predict_proba(self, X):
-        return self.predict_folds([X])[0]
-
     def fit_folds(self, Xs: Sequence, ys: Sequence):
         """Train one model per (X, y) fold in a single stacked descent."""
         Xs = [np.asarray(X, dtype=float) for X in Xs]
@@ -259,17 +296,9 @@ class _ElasticNetLogReg:
         Z = np.zeros((F, L, p))
         Y = np.zeros((F, L))
         mask = np.zeros((F, L))
-        self._scale = np.empty((F, p))
-        self._mu = np.empty((F, p))
-        self._sd = np.empty((F, p))
+        self._standardize = [_Standardizer(X) for X in Xs]
         for f, (X, y) in enumerate(zip(Xs, ys)):
-            _, exponent = np.frexp(np.abs(X).max(axis=0))
-            self._scale[f] = np.ldexp(1.0, exponent - 1)
-            X = X / self._scale[f]
-            self._mu[f] = X.mean(axis=0)
-            sd = X.std(axis=0)
-            self._sd[f] = np.where(sd > 0, sd, 1.0)
-            Z[f, : sizes[f]] = (X - self._mu[f]) / self._sd[f]
+            Z[f, : sizes[f]] = self._standardize[f](X)
             Y[f, : sizes[f]] = y
             mask[f, : sizes[f]] = 1.0
         Zt = Z.transpose(0, 2, 1)
@@ -289,11 +318,8 @@ class _ElasticNetLogReg:
 
     def predict_folds(self, Xs: Sequence) -> list[np.ndarray]:
         """Probabilities of each fold's rows under that fold's model."""
-        out = []
-        for f, X in enumerate(Xs):
-            Z = (np.asarray(X, dtype=float) / self._scale[f] - self._mu[f]) / self._sd[f]
-            out.append(_sigmoid(Z @ self._coef[f] + self._intercept[f]))
-        return out
+        return [_sigmoid(self._standardize[f](np.asarray(X, dtype=float)) @ self._coef[f]
+                         + self._intercept[f]) for f, X in enumerate(Xs)]
 
 
 def _build_learner(spec: ToyLearnerSpec, params: dict):
@@ -313,7 +339,7 @@ def _fold_probabilities(
         model.fit_folds([X[i] for i in train_sets], [y[i] for i in train_sets])
         return model.predict_folds([X[i] for i in test_sets])
     return [
-        _build_learner(spec, params).fit(X[train], y[train]).predict_proba(X[test])
+        _build_learner(spec, params).fit(X[train], y[train]).predict(X[test])
         for train, test in zip(train_sets, test_sets)
     ]
 
@@ -374,12 +400,7 @@ def cross_validate(
     params = effective_values(space, config, dataset.info)
     rng = np.random.default_rng(seed)
     folds = stratified_folds(dataset.y, k_folds, rng)
-    all_idx = np.arange(dataset.info.n)
-    train_sets = []
-    for test_idx in folds:
-        train_mask = np.ones(dataset.info.n, dtype=bool)
-        train_mask[test_idx] = False
-        train_sets.append(all_idx[train_mask])
+    train_sets = [np.delete(np.arange(dataset.info.n), test) for test in folds]
     fold_probs = _fold_probabilities(learner, params, dataset.X, dataset.y, train_sets, folds)
     totals = {m: 0.0 for m in measures}
     for f, (test_idx, probs) in enumerate(zip(folds, fold_probs)):

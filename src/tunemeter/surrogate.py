@@ -10,7 +10,10 @@ the bounds midpoint.
 Five interchangeable regressor kinds are provided: a constant mean, least
 squares, distance-weighted nearest neighbors, a variance-reduction
 regression tree (the CART tree the toy bot also trains), and a bagged
-forest of such trees with per-split feature subsampling.
+forest of such trees with per-split feature subsampling. The nearest
+neighbors regressor standardizes its columns and finds neighbors with the
+toy bot's `_Standardizer` and `_nearest`; selection CV splits rows with the
+bot's `stratified_folds`.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ import numpy as np
 from ._rng import derive_rng
 from ._tree import _CartReg
 from .hyperspace import Configuration, SearchSpace
-from .metadata import ExperimentRow, MetaDataset
+from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
 SURROGATE_KINDS = ("constant", "linear", "knn_reg", "cart_reg", "forest_reg")
 # fixed tie-break order for selection, best candidate first
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
 # hashed into every cache key; bump it when pickled models change shape
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 # -- encoding --------------------------------------------------------------------
@@ -113,7 +116,7 @@ def encode(space: SearchSpace, rows: Sequence[ExperimentRow], measure: str) -> E
 # -- regressors ------------------------------------------------------------------
 
 class _ConstantReg:
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         self.value = float(np.mean(y))
         return self
 
@@ -122,7 +125,7 @@ class _ConstantReg:
 
 
 class _LinearReg:
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         n, cols = X.shape
         if n < cols + 1:
             raise ValueError(f"linear surrogate needs >= {cols + 1} rows, got {n}")
@@ -141,60 +144,42 @@ class _KnnReg:
     coinciding rows, the limit of the weighting scheme.
     """
 
-    CHUNK = 4096
-
     def __init__(self, k: int = 7):
         self.k = k
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds {X.shape[0]} training rows")
-        self._mu = X.mean(axis=0)
-        sd = X.std(axis=0)
-        self._sd = np.where(sd > 0, sd, 1.0)
-        self._X = (X - self._mu) / self._sd
+        self._standardize = _Standardizer(X)
+        self._X = self._standardize(X)
         self._y = np.asarray(y, dtype=float)
         return self
 
     def predict(self, X):
-        Xs = (X - self._mu) / self._sd
-        k = min(self.k, self._X.shape[0])
-        out = np.empty(Xs.shape[0])
-        for start in range(0, Xs.shape[0], self.CHUNK):
-            chunk = Xs[start:start + self.CHUNK]
-            d = np.sqrt(((chunk[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2))
-            order = np.argsort(d, axis=1, kind="stable")[:, :k]
-            dk = np.take_along_axis(d, order, axis=1)
-            yk = self._y[order]
-            exact = dk <= 0.0
-            with np.errstate(divide="ignore"):
-                w = 1.0 / dk
-            has_exact = exact.any(axis=1)
-            w_safe = np.where(exact, 0.0, w)
-            plain = (w_safe * yk).sum(axis=1) / np.maximum(w_safe.sum(axis=1), 1e-300)
-            n_exact = exact.sum(axis=1)
-            exact_mean = (np.where(exact, yk, 0.0).sum(axis=1)
-                          / np.maximum(n_exact, 1))
-            out[start:start + self.CHUNK] = np.where(has_exact, exact_mean, plain)
-        return out
+        index, dk = _nearest(self._X, self._standardize(X), self.k)
+        yk = self._y[index]
+        exact = dk <= 0.0
+        with np.errstate(divide="ignore"):
+            w = np.where(exact, 0.0, 1.0 / dk)
+        plain = (w * yk).sum(axis=1) / np.maximum(w.sum(axis=1), 1e-300)
+        exact_mean = np.where(exact, yk, 0.0).sum(axis=1) / np.maximum(exact.sum(axis=1), 1)
+        return np.where(exact.any(axis=1), exact_mean, plain)
 
 
 class _ForestReg:
     """Bagging of regression trees with per-split feature subsampling."""
 
-    def __init__(self, n_trees: int = 100, min_leaf: int = 5, max_depth: int = 20):
+    def __init__(self, n_trees: int = 100):
         self.n_trees = n_trees
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
 
-    def fit(self, X, y, rng=None, seed: int = 0):
+    def fit(self, X, y, seed: int = 0):
         n, cols = X.shape
         split_features = max(1, cols // 3)
         self.trees = []
         for t in range(self.n_trees):
             tree_rng = derive_rng(seed, "tree", t)
             boot = tree_rng.integers(0, n, size=n)
-            tree = _CartReg(self.min_leaf, self.max_depth, split_features)
+            tree = _CartReg(split_features=split_features)
             tree.fit(X[boot], y[boot], rng=tree_rng)
             self.trees.append(tree)
         return self
@@ -236,8 +221,8 @@ def fit_surrogate(
 ) -> SurrogateModel:
     """Fit one regressor kind on an encoded matrix.
 
-    Extra keyword parameters reach the regressor (k for knn_reg; n_trees,
-    min_leaf, max_depth for the trees).
+    Extra keyword parameters reach the regressor (k for knn_reg, n_trees for
+    forest_reg).
     """
     if kind not in SURROGATE_KINDS:
         raise ValueError(f"unknown surrogate kind {kind!r}")
@@ -249,15 +234,9 @@ def fit_surrogate(
     elif kind == "knn_reg":
         reg = _KnnReg(k=params.get("k", 7)).fit(X, y)
     elif kind == "cart_reg":
-        reg = _CartReg(
-            min_leaf=params.get("min_leaf", 5), max_depth=params.get("max_depth", 20)
-        ).fit(X, y)
+        reg = _CartReg().fit(X, y)
     else:
-        reg = _ForestReg(
-            n_trees=params.get("n_trees", 100),
-            min_leaf=params.get("min_leaf", 5),
-            max_depth=params.get("max_depth", 20),
-        ).fit(X, y, seed=seed)
+        reg = _ForestReg(n_trees=params.get("n_trees", 100)).fit(X, y, seed=seed)
     return SurrogateModel(
         kind=kind, dataset_id=dataset_id, measure=measure, encoder=matrix.encoder, regressor=reg
     )
@@ -281,19 +260,11 @@ class SurrogateEvalReport:
     cells: list[SurrogateCell]
     reps: int
     folds: int
-    chosen: Optional[str] = None
-
-    def kinds(self) -> list[str]:
-        seen = []
-        for c in self.cells:
-            if c.kind not in seen:
-                seen.append(c.kind)
-        return seen
 
     def mean_by_kind(self) -> dict[str, tuple[float, float]]:
         """Average the per-dataset means per kind (NaN-safe for tau)."""
         out = {}
-        for kind in self.kinds():
+        for kind in dict.fromkeys(c.kind for c in self.cells):
             r2s = [c.mean_r2 for c in self.cells if c.kind == kind]
             taus = [c.mean_tau for c in self.cells if c.kind == kind and not np.isnan(c.mean_tau)]
             out[kind] = (
@@ -301,11 +272,6 @@ class SurrogateEvalReport:
                 float(np.mean(taus)) if taus else float("nan"),
             )
         return out
-
-
-def _kfold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
 def evaluate_surrogates(
@@ -316,7 +282,11 @@ def evaluate_surrogates(
     folds: int = 10,
     seed: int = 0,
 ) -> SurrogateEvalReport:
-    """Repeated k-fold CV of every candidate kind on every dataset."""
+    """Repeated k-fold CV of every candidate kind on every dataset.
+
+    The folds are `stratified_folds` of one class; fewer than 2 folds, or
+    fewer rows than folds on a dataset, raise ValueError.
+    """
     cells = []
     for ds in meta.dataset_infos:
         rows = meta.rows_for(ds.id)
@@ -328,7 +298,7 @@ def evaluate_surrogates(
         scores: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
         for rep in range(reps):
             rng = derive_rng(seed, "surrogate-cv", ds.id, rep)
-            for test_idx in _kfold_indices(len(rows), folds, rng):
+            for test_idx in stratified_folds(np.zeros(len(rows)), folds, rng):
                 mask = np.ones(len(rows), dtype=bool)
                 mask[test_idx] = False
                 train = EncodedMatrix(matrix.features[mask], matrix.targets[mask], matrix.encoder)

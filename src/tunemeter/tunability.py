@@ -3,9 +3,9 @@
 Given per-dataset risk predictors over one search space, this module
 computes optimal default configurations, per-dataset optima, tunability of
 the whole algorithm, of single parameters and of parameter pairs, joint
-gains, sequential tuning risks, and a cross-validation protocol over
-datasets. Optimization is black-box: either exhaustive grid enumeration or
-seeded uniform random search on the untransformed scale.
+gains, and a cross-validation protocol over datasets. Optimization is
+black-box: either exhaustive grid enumeration or seeded uniform random
+search on the untransformed scale.
 
 A predictor is anything with ``predict_many(configs) -> float array``;
 fitted surrogates qualify, and so do plain lookup tables in tests.
@@ -29,6 +29,7 @@ from .hyperspace import (
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
     sample_configurations,
 )
+from .metadata import stratified_folds
 from .metrics import RiskTransform, SummarySpec, aggregate_all, summarize_columns
 
 logger = logging.getLogger(__name__)
@@ -263,7 +264,6 @@ def _require_active(reference: Configuration, *names: str) -> None:
 class ParamDatasetResult:
     best_value: object
     d: float
-    rel: Optional[float] = None
     tie_count: int = 1
 
 
@@ -342,40 +342,6 @@ def tunability_pair(
     )
 
 
-@dataclass
-class SequentialResult:
-    final_risk: float
-    first_value: object
-    second_value: object
-
-
-def sequential_tuning(
-    first: str,
-    second: str,
-    reference: Configuration,
-    predictor,
-    space: SearchSpace,
-    optimizer: OptimizerSpec,
-    context: str = "",
-) -> SequentialResult:
-    """Tune `first` with everything else at the reference, freeze its optimum,
-    then tune `second`; returns the final risk for comparison with the joint
-    optimum."""
-    _require_active(reference, first, second)
-    fixed1 = {n: reference.values[n] for n in space.names if n != first}
-    step1 = minimize(predictor, space, optimizer, fixed=fixed1,
-                     context=f"seq1:{first}:{second}:{context}")
-    first_value = step1.config.values[first]
-    fixed2 = {n: step1.config.values[n] for n in space.names if n != second}
-    step2 = minimize(predictor, space, optimizer, fixed=fixed2,
-                     context=f"seq2:{first}:{second}:{context}")
-    return SequentialResult(
-        final_risk=step2.risk,
-        first_value=first_value,
-        second_value=step2.config.values[second],
-    )
-
-
 # -- conditional parameters ---------------------------------------------------------
 
 def activating_assignment(space: SearchSpace, param: str) -> tuple[str, object]:
@@ -440,23 +406,20 @@ def cv_across_datasets(
     seed: int,
     workers: int = 1,
 ) -> CvResult:
-    """Defaults from train-fold datasets, tunability measured on test folds."""
+    """Defaults from train-fold datasets, tunability measured on test folds.
+
+    The datasets are split by `stratified_folds` of one class; fewer than 2
+    folds, or fewer datasets than folds, raise ValueError.
+    """
     ds_ids = list(predictors.keys())
-    m = len(ds_ids)
-    if m < folds:
-        raise ValueError(f"{m} datasets cannot be split into {folds} folds")
-    rng = derive_rng(seed, "cv-datasets")
-    perm = rng.permutation(m)
-    fold_of = {}
-    for fold_idx, chunk in enumerate(np.array_split(perm, folds)):
-        for j in chunk:
-            fold_of[ds_ids[int(j)]] = fold_idx
+    if len(ds_ids) < folds:
+        raise ValueError(f"{len(ds_ids)} datasets cannot be split into {folds} folds")
+    test_sets = stratified_folds(np.zeros(len(ds_ids)), folds, derive_rng(seed, "cv-datasets"))
+    fold_of = {ds_ids[j]: f for f, test in enumerate(test_sets) for j in test}
 
     def run_fold(fold_idx: int) -> dict[str, float]:
         test_ids = [ds for ds in ds_ids if fold_of[ds] == fold_idx]
         train = {ds: predictors[ds] for ds in ds_ids if fold_of[ds] != fold_idx}
-        if not train or not test_ids:
-            return {}
         defaults = compute_defaults(train, space, scaling, g, optimizer,
                                     context=f"cv-fold:{fold_idx}")
         out = {}
@@ -468,5 +431,5 @@ def cv_across_datasets(
     per_dataset: dict[str, float] = {}
     for result in _parallel_map(run_fold, range(folds), workers):
         per_dataset.update(result)
-    per_dataset = {ds: per_dataset[ds] for ds in ds_ids if ds in per_dataset}
+    per_dataset = {ds: per_dataset[ds] for ds in ds_ids}
     return CvResult(per_dataset, aggregate_all(per_dataset.values()), fold_of)

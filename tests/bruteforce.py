@@ -69,11 +69,3 @@ def bf_pair_tunability(table, cells, ref, i1, i2):
     d = table[ref] - best
     gain = min(r1, r2) - best
     return key, d, gain
-
-
-def bf_sequential(table, cells, ref, first, second):
-    key1, _ = bf_min(table, bf_slice(cells, ref, {first}))
-    frozen = list(ref)
-    frozen[first] = key1[first]
-    key2, risk = bf_min(table, bf_slice(cells, tuple(frozen), {second}))
-    return risk

@@ -127,6 +127,21 @@ class TestStratifiedFolds:
         for f in folds:
             assert set(y[f]) == {0, 1}
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k_folds=st.integers(2, 8),
+        extra=st.lists(st.integers(0, 25), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_partition_with_balanced_class_counts(self, k_folds, extra, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.repeat(np.arange(len(extra)), [k_folds + e for e in extra]))
+        folds = stratified_folds(y, k_folds, rng)
+        assert len(folds) == k_folds
+        assert sorted(np.concatenate(folds).tolist()) == list(range(y.size))
+        counts = np.array([np.bincount(y[f], minlength=len(extra)) for f in folds])
+        assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
+
     def test_fold_count_exceeds_class_count(self):
         y = np.array([0] * 20 + [1] * 3)
         with pytest.raises(ValueError, match="class"):
@@ -148,8 +163,8 @@ class TestCrossValidate:
     def test_huge_penalty_kills_coefficients(self):
         ds = make_synthetic_dataset("gaussian_blobs", n=60, p=3, separation=5, seed=2)
         model = _ElasticNetLogReg(alpha=0.5, lam=2.0 ** 10)
-        model.fit(ds.X, ds.y)
-        assert np.all(np.abs(model.coef_) < 1e-3)
+        model.fit_folds([ds.X], [ds.y])
+        assert np.all(np.abs(model._coef[0]) < 1e-3)
         space = bundled_space("glmnet")
         cfg = make_configuration(space, {"alpha": 0.5, "lambda": 10.0})
         learner = ToyLearnerSpec("elasticnet_logreg", folds=5)
@@ -220,6 +235,23 @@ class TestCrossValidate:
             measures.append([row.measures for row in rows])
         assert measures[0] == measures[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_features_near_float_maximum_keep_cart_measures(self):
+        # (a + b) / 2 overflows to inf for neighbours near 1.7e308; a power-of-two
+        # rescale of that column must not change a measure
+        base = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
+        cfg = make_configuration(bundled_space("rpart"),
+                                 {"cp": 0.01, "maxdepth": 5, "minbucket": 3, "minsplit": 6})
+        learner = ToyLearnerSpec("cart_classifier", folds=4)
+        measures = []
+        for factor in (1.0, 2.0 ** -1000):
+            X = base.X.copy()
+            # the huge column separates the classes, so trees split on it
+            X[np.argsort(base.y, kind="stable"), 1] = np.linspace(1e308, 1.7e308, 40) * factor
+            ds = LabeledDataset(X, base.y, DatasetInfo("huge", n=40, p=2))
+            measures.append(cross_validate(learner, cfg, ds, 4, ("auc", "brier"), seed=0))
+        assert measures[0] == measures[1]
+
     def test_invalid_configuration_rejected(self):
         ds = make_synthetic_dataset("gaussian_blobs", n=20, p=2, separation=2, seed=0)
         learner = ToyLearnerSpec("knn_classifier", folds=5)
@@ -237,7 +269,7 @@ def _separate_and_stacked_fits(n, n_pos, k_folds, alpha, lam, seed):
     trains = [np.setdiff1d(np.arange(n), test) for test in folds]
     stacked = _ElasticNetLogReg(alpha, lam).fit_folds([X[t] for t in trains],
                                                       [y[t] for t in trains])
-    separate = [_ElasticNetLogReg(alpha, lam).fit(X[t], y[t]) for t in trains]
+    separate = [_ElasticNetLogReg(alpha, lam).fit_folds([X[t]], [y[t]]) for t in trains]
     return X, folds, stacked, separate
 
 
@@ -258,9 +290,10 @@ class TestStackedElasticNet:
             n, n_pos, k_folds, alpha, 2.0 ** log2_lambda, seed)
         probs = stacked.predict_folds([X[test] for test in folds])
         for f, (test, one) in enumerate(zip(folds, separate)):
-            np.testing.assert_allclose(stacked._coef[f], one.coef_, rtol=1e-12, atol=1e-12)
-            assert stacked._intercept[f] == pytest.approx(one.intercept_, rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(probs[f], one.predict_proba(X[test]),
+            np.testing.assert_allclose(stacked._coef[f], one._coef[0], rtol=1e-12, atol=1e-12)
+            assert stacked._intercept[f] == pytest.approx(one._intercept[0], rel=1e-12,
+                                                          abs=1e-12)
+            np.testing.assert_allclose(probs[f], one.predict_folds([X[test]])[0],
                                        rtol=1e-12, atol=1e-12)
 
     def test_unequal_folds_are_padded(self):
@@ -268,7 +301,21 @@ class TestStackedElasticNet:
         assert len({test.size for test in folds}) > 1
         assert stacked._coef.shape == (4, 3)
         for f, one in enumerate(separate):
-            np.testing.assert_allclose(stacked._coef[f], one.coef_, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stacked._coef[f], one._coef[0], rtol=1e-12, atol=1e-12)
+
+    def test_constant_column_changes_nothing(self):
+        # 37 copies of 0.1 have a nonzero sd (1.4e-17); standardized by that sd the
+        # column would be a second, penalized intercept
+        ds = make_synthetic_dataset("gaussian_blobs", n=37, p=2, separation=2, seed=3)
+        X = np.column_stack([ds.X, np.full(37, 0.1)])
+        assert np.std(X[:, 2]) > 0
+        with_column = _ElasticNetLogReg(0.5, 0.01).fit_folds([X], [ds.y])
+        without = _ElasticNetLogReg(0.5, 0.01).fit_folds([ds.X], [ds.y])
+        assert with_column._coef[0, 2] == 0.0
+        np.testing.assert_allclose(with_column._coef[0, :2], without._coef[0],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(with_column.predict_folds([X])[0],
+                                   without.predict_folds([ds.X])[0], rtol=1e-12, atol=1e-12)
 
     def test_bot_measures_pinned(self):
         # full-precision elastic-net measures of the per-fold trainer this one replaced
@@ -293,6 +340,27 @@ class TestStackedElasticNet:
             (0.5712593971304359, -2.963593657215357,
              0.744, 0.5999999999999999, 0.20814776718632766),
             (0.7345468929920094, 8.658414760857287, 0.5, 0.5, 0.25),
+        ]
+
+
+class TestKnnClassifier:
+    def test_bot_rows_pinned(self):
+        # full-precision kNN rows of the search this one shares with the kNN surrogate
+        datasets = [
+            make_synthetic_dataset("gaussian_blobs", n=41, p=3, separation=2, seed=5),
+            make_synthetic_dataset("xor_rotated", n=50, p=4, separation=1.5, seed=8),
+        ]
+        metas = generate_bot_data([ToyLearnerSpec("knn_classifier", folds=5)], datasets,
+                                  rows_per_pair=3, seed=3)
+        got = [(row.config.values["k"], row.measures["auc"], row.measures["accuracy"],
+                row.measures["brier"]) for row in metas["kknn"].rows]
+        assert got == [
+            (8, 0.9262499999999999, 0.8055555555555556, 0.12165798611111112),
+            (12, 0.89, 0.8055555555555556, 0.1369020061728395),
+            (29, 0.8637499999999999, 0.8527777777777779, 0.21270313119302417),
+            (28, 0.43200000000000005, 0.45999999999999996, 0.2596173469387755),
+            (26, 0.44399999999999995, 0.48, 0.26337278106508877),
+            (1, 0.5399999999999999, 0.5399999999999999, 0.45999999999999996),
         ]
 
 

@@ -1,9 +1,11 @@
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "tunemeter"
 
 
 def test_console_scripts_resolve_to_callables():
@@ -15,3 +17,33 @@ def test_console_scripts_resolve_to_callables():
         for attr in attr_path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{name} = {target!r} is not callable"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, except on lines marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"line {alias.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_detector():
+    source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
+              "from math import (\n    pi,\n    tau,  # noqa: F401\n)\nprint(os.path.sep)\n")
+    assert unused_imports(source) == ["line 3: sys", "line 5: pi"]
+
+
+# the package __init__ is left out: its imports are the public API
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(name):
+    assert unused_imports((PACKAGE / name).read_text(encoding="utf-8")) == []

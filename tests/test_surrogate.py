@@ -9,7 +9,7 @@ from tunemeter.hyperspace import (
     make_configuration,
     sample_configuration,
 )
-from tunemeter.metadata import ExperimentRow
+from tunemeter.metadata import ExperimentRow, _nearest
 from tunemeter.metrics import r_squared
 from tunemeter.surrogate import (
     ConfigEncoder,
@@ -21,6 +21,7 @@ from tunemeter.surrogate import (
     fit_all_surrogates,
     fit_surrogate,
     select_surrogate,
+    _KnnReg,
 )
 
 
@@ -89,6 +90,41 @@ class TestRegressors:
         ys = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
         model, space = self.fit_on("knn_reg", xs, ys, k=7)
         assert self.query(model, space, [0.3])[0] == pytest.approx(0.0)
+
+    def test_knn_predictions_pinned(self):
+        # full-precision predictions of the search this one shares with the bot's kNN
+        space = bundled_space("svm")
+        rng = np.random.default_rng(11)
+        configs = [sample_configuration(space, rng) for _ in range(40)]
+        rows = [ExperimentRow("d", c, {"brier": float(t)})
+                for c, t in zip(configs, rng.uniform(0, 1, 40))]
+        model = fit_surrogate("knn_reg", encode(space, rows, "brier"))
+        queries = [sample_configuration(space, rng) for _ in range(5)] + configs[:1]
+        assert model.predict_many(queries).tolist() == [
+            0.4295235289453241, 0.2583979051621972, 0.5258534204827398,
+            0.23792992652079287, 0.38621238083990284, 0.31518274714343164,
+        ]
+
+    def test_knn_constant_column(self):
+        # 37 copies of 0.1 have a nonzero sd (1.4e-17). Standardized by that sd, a
+        # query at 0.2 would lie 7e15 sds from every row, tie all distances and average
+        # the first seven rows: 0.183 at x = 0.9, where the data without the column give 0.931
+        xs = np.linspace(0.0, 1.0, 37)
+        ys = xs ** 0.65
+        X = np.column_stack([xs, np.full(37, 0.1)])
+        assert np.std(X[:, 1]) > 0
+        with_column = _KnnReg().fit(X, ys)
+        without = _KnnReg().fit(xs[:, None], ys)
+        queries = np.linspace(0.0, 1.0, 11)
+        assert without.predict(np.array([[0.9]]))[0] == pytest.approx(0.931, abs=5e-4)
+        np.testing.assert_allclose(
+            with_column.predict(np.column_stack([queries, np.full(11, 0.1)])),
+            without.predict(queries[:, None]), rtol=1e-12, atol=1e-12)
+        away = np.column_stack([queries, np.full(11, 0.2)])
+        index, _ = _nearest(with_column._X, with_column._standardize(away), 7)
+        expected, _ = _nearest(without._X, without._standardize(queries[:, None]), 7)
+        # the column moves every row equally far away, so it keeps each neighbour set
+        assert np.sort(index, axis=1).tolist() == np.sort(expected, axis=1).tolist()
 
     def test_forest_bounded_by_training_targets(self):
         rng = np.random.default_rng(3)
@@ -188,6 +224,12 @@ class TestEvaluateSurrogates:
         # leave-one-out folds have a single test row, which cannot be scored
         assert report.folds == 20
         assert cell.folds_completed == 0 or cell.folds_completed <= 20
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_raise(self, folds):
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            evaluate_surrogates(smooth_sine_meta(n_rows=20, seed=2), "brier",
+                                kinds=("constant",), reps=1, folds=folds, seed=0)
 
     def test_too_few_rows_errors(self):
         meta = smooth_sine_meta(n_rows=5, seed=3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from tunemeter._tree import _CartReg
 from tunemeter.metadata import ToyLearnerSpec, _build_learner
 
 NEAR = 1e-9  # relative distance below which two gains count as tied
@@ -98,5 +99,13 @@ class TestCartMatchesGiniOracle:
         oracle = gini_tree(X, y, cp, maxdepth, minbucket, minsplit)
         params = {"cp": cp, "maxdepth": maxdepth, "minbucket": minbucket, "minsplit": minsplit}
         tree = _build_learner(ToyLearnerSpec("cart_classifier"), params)
-        got = tree.fit(np.array(X), np.array(y)).predict_proba(np.array(rows))
+        got = tree.fit(np.array(X), np.array(y)).predict(np.array(rows))
         assert got.tolist() == [oracle(x) for x in rows]
+
+
+def test_threshold_between_neighbours_near_float_maximum():
+    X = np.array([[1e308], [1.7e308]])
+    with np.errstate(over="raise"):
+        tree = _CartReg(min_leaf=1).fit(X, np.array([0.0, 1.0]))
+    assert 1e308 <= tree.threshold[0] < 1.7e308
+    assert tree.predict(X).tolist() == [0.0, 1.0]

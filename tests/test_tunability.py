@@ -9,7 +9,6 @@ from bruteforce import (
     bf_min,
     bf_pair_tunability,
     bf_param_tunability,
-    bf_sequential,
 )
 from conftest import FunctionPredictor, TablePredictor, integer_grid_space, random_table
 from tunemeter.hyperspace import SpaceError, bundled_space, make_configuration, parse_space
@@ -22,7 +21,6 @@ from tunemeter.tunability import (
     cv_across_datasets,
     dataset_optimum,
     minimize,
-    sequential_tuning,
     tunability_algorithm,
     tunability_pair,
     tunability_parameter,
@@ -311,54 +309,6 @@ class TestPairTunability:
             assert got.d == expected_d and got.joint_gain == expected_g
 
 
-class TestSequential:
-    def test_2x2_order_p0_then_p1_reaches_joint(self):
-        space = integer_grid_space([2, 2])
-        cells = all_cells(space)
-        table = dict(zip(cells, [0.5, 0.2, 0.3, 0.0]))
-        pred = TablePredictor(space, table)
-        ref = cfg_from_cell(space, (0, 0))
-        res = sequential_tuning("p0", "p1", ref, pred, space, GRID)
-        assert res.first_value == 1 and res.final_risk == pytest.approx(0.0)
-
-    def test_separable_sequential_equals_joint_both_orders(self):
-        rng = np.random.default_rng(2)
-        f, h = rng.uniform(0, 1, 3), rng.uniform(0, 1, 4)
-        space = integer_grid_space([3, 4])
-        cells = all_cells(space)
-        table = {cell: float(f[cell[0]] + h[cell[1]]) for cell in cells}
-        pred = TablePredictor(space, table)
-        ref = cfg_from_cell(space, (0, 0))
-        joint = tunability_pair("p0", "p1", ref, pred, space, GRID)
-        joint_risk = table[ref.key(space)] - joint.d
-        for order in (("p0", "p1"), ("p1", "p0")):
-            res = sequential_tuning(order[0], order[1], ref, pred, space, GRID)
-            assert res.final_risk == pytest.approx(joint_risk, abs=1e-12)
-
-    def test_symmetric_table_order_irrelevant(self):
-        space = integer_grid_space([3, 3])
-        cells = all_cells(space)
-        table = {cell: float(abs(cell[0] - 1) + abs(cell[1] - 1)) for cell in cells}
-        pred = TablePredictor(space, table)
-        ref = cfg_from_cell(space, (0, 0))
-        a = sequential_tuning("p0", "p1", ref, pred, space, GRID).final_risk
-        b = sequential_tuning("p1", "p0", ref, pred, space, GRID).final_risk
-        assert a == b
-
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            space = integer_grid_space([3, 3, 3])
-            cells = all_cells(space)
-            table = random_table(space, rng)
-            pred = TablePredictor(space, table)
-            ref_cell = cells[int(rng.integers(0, len(cells)))]
-            ref = cfg_from_cell(space, ref_cell)
-            expected = bf_sequential(table, cells, ref_cell, 1, 2)
-            got = sequential_tuning("p1", "p2", ref, pred, space, GRID)
-            assert got.final_risk == expected
-
-
 class TestShiftInvariance:
     def test_adding_constant_leaves_d_and_argmin_unchanged(self):
         rng = np.random.default_rng(11)
@@ -465,6 +415,15 @@ class TestCvAcrossDatasets:
         with pytest.raises(ValueError):
             cv_across_datasets(preds, space, {}, NO_SCALE, MEAN, GRID, folds=2, seed=0)
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_raise(self, folds):
+        space = integer_grid_space([3])
+        rng = np.random.default_rng(0)
+        preds = {f"d{i}": TablePredictor(space, random_table(space, rng)) for i in range(3)}
+        optima = {ds: dataset_optimum(p, space, GRID) for ds, p in preds.items()}
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            cv_across_datasets(preds, space, optima, NO_SCALE, MEAN, GRID, folds=folds, seed=0)
+
     def test_worker_count_invariant(self):
         rng = np.random.default_rng(13)
         space = integer_grid_space([4])
@@ -495,6 +454,3 @@ class TestMonotonicity:
             assert pair.d >= max(pair.d_first, pair.d_second) - 1e-12
             assert min(pair.d_first, pair.d_second) >= -1e-12
             assert pair.joint_gain >= -1e-12
-            seq = sequential_tuning("p0", "p1", ref, pred, space, GRID)
-            joint_risk = table[ref.key(space)] - pair.d
-            assert seq.final_risk >= joint_risk - 1e-12
