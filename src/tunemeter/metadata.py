@@ -9,9 +9,9 @@ stratified cross-validation.
 
 Each toy learner has `fit(X, y)` and a `predict(X)` that returns the
 probability of class 1. The classification tree is the surrogates' CART
-tree on the 0/1 labels: a node's Gini cost there is 2 × its sum of squared
-errors, so the tree makes rpart's Gini splits, and cp, relative to the root
-impurity, is unchanged.
+tree (`_tree.grow`) on the 0/1 labels: a node's Gini cost there is 2 × its
+sum of squared errors, so the tree makes rpart's Gini splits, and cp,
+relative to the root impurity, is unchanged.
 
 The neighbour search (`_nearest`), the column standardizer
 (`_Standardizer`) and the k-fold split (`stratified_folds`) are the
@@ -34,7 +34,7 @@ import json
 import numpy as np
 
 from ._rng import _parallel_map, derive_rng, stable_hash
-from ._tree import _CartReg
+from ._tree import grow
 from .hyperspace import (
     Configuration,
     DatasetInfo,
@@ -322,24 +322,30 @@ class _ElasticNetLogReg:
                          + self._intercept[f]) for f, X in enumerate(Xs)]
 
 
-def _build_learner(spec: ToyLearnerSpec, params: dict):
-    if spec.kind == "knn_classifier":
-        return _KnnClassifier(k=params["k"])
-    return _CartReg(min_leaf=params["minbucket"], max_depth=params["maxdepth"],
-                    min_split=params["minsplit"], cp=params["cp"])
-
-
 def _fold_probabilities(
     spec: ToyLearnerSpec, params: dict, X: np.ndarray, y: np.ndarray,
     train_sets: list[np.ndarray], test_sets: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """Each fold's predicted test probabilities; elastic-net folds train together."""
+    """Each fold's predicted test probabilities.
+
+    The folds of an elastic-net configuration train in one stacked descent,
+    and the trees of a CART configuration grow in one `grow` call; each
+    fold's test rows then walk that fold's tree.
+    """
     if spec.kind == "elasticnet_logreg":
         model = _ElasticNetLogReg(alpha=params["alpha"], lam=params["lambda"])
         model.fit_folds([X[i] for i in train_sets], [y[i] for i in train_sets])
         return model.predict_folds([X[i] for i in test_sets])
+    if spec.kind == "cart_classifier":
+        trees = grow(X, y, train_sets, min_leaf=params["minbucket"],
+                     max_depth=params["maxdepth"], min_split=params["minsplit"],
+                     cp=params["cp"])
+        sizes = [test.size for test in test_sets]
+        fold = np.repeat(np.arange(len(test_sets)), sizes)
+        probs = trees.value[trees.leaves(X, fold, np.concatenate(test_sets))]
+        return np.split(probs, np.cumsum(sizes)[:-1])
     return [
-        _build_learner(spec, params).fit(X[train], y[train]).predict(X[test])
+        _KnnClassifier(k=params["k"]).fit(X[train], y[train]).predict(X[test])
         for train, test in zip(train_sets, test_sets)
     ]
 
@@ -385,9 +391,10 @@ def cross_validate(
     The configuration is validated against the learner's space and passed
     through its transformations (with this dataset's n and p) before
     training. The elastic-net learner trains all folds of the configuration
-    in one stacked descent; the measures are those of separate per-fold
-    fits. Unknown measures, bad data and non-finite predicted probabilities
-    raise ValueError.
+    in one stacked descent and the CART learner grows all their trees in one
+    lockstep call; the measures are those of separate per-fold fits. Unknown
+    measures, bad data and non-finite predicted probabilities raise
+    ValueError.
     """
     unknown = [m for m in measures if m not in _FOLD_MEASURES]
     if unknown:

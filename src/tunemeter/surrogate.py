@@ -10,16 +10,22 @@ the bounds midpoint.
 Five interchangeable regressor kinds are provided: a constant mean, least
 squares, distance-weighted nearest neighbors, a variance-reduction
 regression tree (the CART tree the toy bot also trains), and a bagged
-forest of such trees with per-split feature subsampling. The nearest
-neighbors regressor standardizes its columns and finds neighbors with the
-toy bot's `_Standardizer` and `_nearest`; selection CV splits rows with the
-bot's `stratified_folds`.
+forest of such trees with per-split feature subsampling. Both tree kinds
+come from `_tree.grow`: a forest's bootstraps grow in one lockstep call into
+one array-coded forest (concatenated node arrays, one root per tree), and
+a forest prediction walks every tree at once and sums the trees' leaf
+values in tree order. The nearest neighbors regressor standardizes its
+columns and finds neighbors with the toy bot's `_Standardizer` and
+`_nearest`; selection CV splits rows with the bot's `stratified_folds`.
+
+The surrogate cache stores a regressor's arrays as `.npz` and reads them
+back without unpickling.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import derive_rng
-from ._tree import _CartReg
+from ._tree import _CartReg, _Trees, grow
 from .hyperspace import Configuration, SearchSpace
 from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
@@ -35,8 +41,9 @@ from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 SURROGATE_KINDS = ("constant", "linear", "knn_reg", "cart_reg", "forest_reg")
 # fixed tie-break order for selection, best candidate first
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
-# hashed into every cache key; bump it when pickled models change shape
-_CACHE_FORMAT = 3
+# hashed into every cache key and stored in every cache file; bump it when
+# the stored arrays change
+_CACHE_FORMAT = 4
 
 
 # -- encoding --------------------------------------------------------------------
@@ -150,6 +157,7 @@ class _KnnReg:
     def fit(self, X, y):
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds {X.shape[0]} training rows")
+        self._rows = X
         self._standardize = _Standardizer(X)
         self._X = self._standardize(X)
         self._y = np.asarray(y, dtype=float)
@@ -167,28 +175,27 @@ class _KnnReg:
 
 
 class _ForestReg:
-    """Bagging of regression trees with per-split feature subsampling."""
+    """Bagging of regression trees with per-split feature subsampling.
+
+    Tree t draws its bootstrap and then its feature subsets from its own
+    generator `derive_rng(seed, "tree", t)`. `grow` fits all trees in one
+    lockstep call on the bootstrap row indices, and the forest is one
+    array-coded `_Trees`; a prediction is the mean of the leaf values summed
+    in tree order.
+    """
 
     def __init__(self, n_trees: int = 100):
         self.n_trees = n_trees
 
     def fit(self, X, y, seed: int = 0):
         n, cols = X.shape
-        split_features = max(1, cols // 3)
-        self.trees = []
-        for t in range(self.n_trees):
-            tree_rng = derive_rng(seed, "tree", t)
-            boot = tree_rng.integers(0, n, size=n)
-            tree = _CartReg(split_features=split_features)
-            tree.fit(X[boot], y[boot], rng=tree_rng)
-            self.trees.append(tree)
+        rngs = [derive_rng(seed, "tree", t) for t in range(self.n_trees)]
+        boots = [rng.integers(0, n, size=n) for rng in rngs]
+        self.trees = grow(X, y, boots, rngs, split_features=max(1, cols // 3))
         return self
 
     def predict(self, X):
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / self.n_trees
+        return self.trees.mean(X)
 
 
 @dataclass
@@ -327,16 +334,22 @@ def evaluate_surrogates(
 
 
 def select_surrogate(report: SurrogateEvalReport) -> str:
-    """Highest mean R2; ties broken by mean tau, then by the fixed kind order."""
+    """Highest mean R2; ties broken by mean tau, then by the fixed kind order.
+
+    Kinds whose mean R2 is NaN (no fold could be scored) rank last; a report
+    in which no kind has a finite mean R2 raises ValueError.
+    """
     means = report.mean_by_kind()
     if not means:
         raise ValueError("empty report")
+    if not any(np.isfinite(r2) for r2, _ in means.values()):
+        raise ValueError("no surrogate kind has a finite mean R2: no CV fold could be scored")
 
     def sort_key(kind: str):
         r2, tau = means[kind]
         order = KIND_ORDER.index(kind) if kind in KIND_ORDER else len(KIND_ORDER)
         tau_key = -np.inf if np.isnan(tau) else tau
-        return (-r2, -tau_key, order)
+        return (bool(np.isnan(r2)), 0.0 if np.isnan(r2) else -r2, -tau_key, order)
 
     return min(means, key=sort_key)
 
@@ -351,16 +364,23 @@ def fit_all_surrogates(
     cache_dir: Optional[Path] = None,
     **params,
 ) -> dict[str, SurrogateModel]:
-    """One fitted surrogate per dataset, optionally cached on disk."""
+    """One fitted surrogate per dataset, optionally cached on disk.
+
+    A cache file is an `.npz` of the regressor's arrays beside its kind,
+    dataset, measure and cache format; it is read without unpickling, and
+    the encoder is rebuilt from `meta.space`.
+    """
     out = {}
     for ds in meta.dataset_infos:
         rows = meta.rows_for(ds.id)
         matrix = encode(meta.space, rows, measure)
         if cache_dir is not None:
             key = _cache_key(meta.algorithm, ds.id, measure, kind, seed, params, matrix)
-            path = Path(cache_dir) / f"{key}.pkl"
+            path = Path(cache_dir) / f"{key}.npz"
             if path.exists():
-                out[ds.id] = _load_cached(path, kind, ds.id, measure)
+                reg = _load_cached(path, kind, ds.id, measure)
+                out[ds.id] = SurrogateModel(kind=kind, dataset_id=ds.id, measure=measure,
+                                            encoder=matrix.encoder, regressor=reg)
                 continue
         model = fit_surrogate(kind, matrix, seed=seed, dataset_id=ds.id,
                               measure=measure, **params)
@@ -368,21 +388,60 @@ def fit_all_surrogates(
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".tmp")
             with open(tmp, "wb") as fh:
-                pickle.dump(model, fh)
+                np.savez(fh, **_cache_header(kind, ds.id, measure),
+                         **_regressor_arrays(kind, model.regressor))
             tmp.replace(path)
         out[ds.id] = model
     return out
 
 
-def _load_cached(path: Path, kind: str, dataset_id: str, measure: str) -> SurrogateModel:
-    """The pickled model at `path`, refused unless it is the requested surrogate."""
-    with open(path, "rb") as fh:
-        model = pickle.load(fh)
-    if not (isinstance(model, SurrogateModel) and model.kind == kind
-            and model.dataset_id == dataset_id and model.measure == measure):
-        raise ValueError(f"cache file {path} does not hold the {kind} surrogate "
+def _cache_header(kind: str, dataset_id: str, measure: str) -> dict[str, np.ndarray]:
+    return {"kind": np.array(kind), "dataset": np.array(dataset_id),
+            "measure": np.array(measure), "format": np.array(_CACHE_FORMAT)}
+
+
+def _regressor_arrays(kind: str, reg) -> dict[str, np.ndarray]:
+    """The arrays that rebuild a fitted regressor; kNN keeps its training rows."""
+    if kind == "constant":
+        return {"value": np.array(reg.value)}
+    if kind == "linear":
+        return {"beta": reg.beta}
+    if kind == "knn_reg":
+        return {"k": np.array(reg.k), "X": reg._rows, "y": reg._y}
+    return reg.trees.arrays()
+
+
+def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
+    """The regressor stored at `path`, refused unless it is the requested surrogate."""
+    refused = ValueError(f"cache file {path} does not hold the {kind} surrogate "
                          f"for dataset {dataset_id!r} and measure {measure!r}")
-    return model
+    arrays = {}
+    try:
+        stored = np.load(path, allow_pickle=False)
+        if isinstance(stored, np.lib.npyio.NpzFile):  # not a lone .npy array
+            with stored:
+                arrays = {name: stored[name] for name in stored.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise refused from exc
+    header = _cache_header(kind, dataset_id, measure)
+    if any(name not in arrays or not np.array_equal(arrays.pop(name), value)
+           for name, value in header.items()):
+        raise refused
+    try:
+        if kind == "constant":
+            reg = _ConstantReg()
+            reg.value = float(arrays["value"])
+        elif kind == "linear":
+            reg = _LinearReg()
+            reg.beta = arrays["beta"]
+        elif kind == "knn_reg":
+            reg = _KnnReg(k=int(arrays["k"])).fit(arrays["X"], arrays["y"])
+        else:
+            reg = _CartReg() if kind == "cart_reg" else _ForestReg(arrays["roots"].size)
+            reg.trees = _Trees(**arrays)
+    except (KeyError, TypeError) as exc:
+        raise refused from exc
+    return reg
 
 
 def _cache_key(algorithm, dataset_id, measure, kind, seed, params, matrix) -> str:

@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tunemeter.hyperspace import (
 from tunemeter.metadata import ExperimentRow, _nearest
 from tunemeter.metrics import r_squared
 from tunemeter.surrogate import (
+    SURROGATE_KINDS,
     ConfigEncoder,
     EncodedMatrix,
     SurrogateCell,
@@ -251,6 +253,20 @@ class TestSelectSurrogate:
             [self.cell("linear", 0.7, 0.9), self.cell("cart_reg", 0.7, 0.6)], 1, 5)
         assert select_surrogate(report) == "linear"
 
+    def test_report_without_a_scored_fold_raises(self):
+        # leave-one-out folds have a single test row: no fold can be scored
+        report = evaluate_surrogates(smooth_sine_meta(n_rows=20, seed=2), "brier",
+                                     reps=1, folds=20, seed=0)
+        assert all(np.isnan(r2) for r2, _ in report.mean_by_kind().values())
+        with pytest.raises(ValueError, match="finite mean R2"):
+            select_surrogate(report)
+
+    def test_kind_without_r2_ranks_last(self):
+        report = SurrogateEvalReport(
+            [self.cell("forest_reg", float("nan"), 0.9), self.cell("constant", -0.2, float("nan"))],
+            1, 5)
+        assert select_surrogate(report) == "constant"
+
     def test_full_tie_prefers_forest(self):
         report = SurrogateEvalReport(
             [self.cell(k, 0.5, 0.5) for k in ("constant", "linear", "knn_reg",
@@ -263,7 +279,7 @@ class TestCache:
         meta = smooth_sine_meta(n_rows=60, seed=4)
         first = fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1,
                                    cache_dir=tmp_path, n_trees=10)
-        files = list(tmp_path.glob("*.pkl"))
+        files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
         second = fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1,
                                     cache_dir=tmp_path, n_trees=10)
@@ -278,15 +294,58 @@ class TestCache:
                            kind="constant", seed=1, cache_dir=tmp_path)
         fit_all_surrogates(smooth_sine_meta(n_rows=60, seed=5), "brier",
                            kind="constant", seed=1, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.pkl"))) == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 2
 
     def test_foreign_cache_file_rejected(self, tmp_path):
         meta = smooth_sine_meta(n_rows=60, seed=4)
-        models = fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)
-        (path,) = tmp_path.glob("*.pkl")
-        other_dataset = models["d0"]
-        other_dataset.dataset_id = "d9"
-        for foreign in ("not a model", other_dataset):
-            path.write_bytes(pickle.dumps(foreign))
+        fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.npz")
+        with np.load(path) as npz:
+            stored = dict(npz)
+        for foreign in (b"not a model", np.arange(3), {**stored, "dataset": np.array("d9")},
+                        {**stored, "format": stored["format"] - 1},
+                        {k: v for k, v in stored.items() if k != "value"},
+                        {**stored, "value": np.array([None])}):
+            if isinstance(foreign, bytes):
+                path.write_bytes(foreign)
+            elif isinstance(foreign, np.ndarray):
+                with open(path, "wb") as fh:
+                    np.save(fh, foreign)
+            else:
+                np.savez(path, **foreign)
             with pytest.raises(ValueError, match=path.name):
                 fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    def test_every_kind_round_trips(self, tmp_path, kind):
+        meta = smooth_sine_meta(n_rows=60, seed=4)
+        cold = fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path)
+        warm = fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path)
+        X = np.linspace(-1.0, 7.0, 80)[:, None]
+        assert cold["d0"].predict_encoded(X).tobytes() == warm["d0"].predict_encoded(X).tobytes()
+        assert type(warm["d0"].regressor) is type(cold["d0"].regressor)
+
+    def test_planted_pickle_is_never_run(self, tmp_path):
+        meta = smooth_sine_meta(n_rows=60, seed=4)
+        fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path / "cache")
+        (path,) = (tmp_path / "cache").glob("*.npz")
+        marker = tmp_path / "marker"
+        payload = pickle.dumps(_WritesMarker(marker))
+        pickle.loads(payload)  # the payload is live: unpickling it writes the marker
+        assert marker.exists()
+        marker.unlink()
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match=path.name):
+            fit_all_surrogates(meta, "brier", kind="constant", seed=1,
+                               cache_dir=tmp_path / "cache")
+        assert not marker.exists()
+
+
+class _WritesMarker:
+    """Unpickling it writes a file: the code a planted cache file would run."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (Path.write_text, (self.marker, "ran"))

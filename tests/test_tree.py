@@ -1,12 +1,18 @@
-"""The bot's CART learner against a plain Gini tree grown in exact arithmetic."""
+"""The CART grower: against a plain Gini tree grown in exact arithmetic, against
+the recursive one-tree builder it replaced, and trees grown together against
+trees grown alone."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tunemeter._tree import _CartReg
-from tunemeter.metadata import ToyLearnerSpec, _build_learner
+from tunemeter import _tree
+from tunemeter._tree import _CartReg, _Trees, grow
+from tunemeter.surrogate import _ForestReg
+from tunemeter.metadata import ToyLearnerSpec, _fold_probabilities
 
 NEAR = 1e-9  # relative distance below which two gains count as tied
 
@@ -98,8 +104,9 @@ class TestCartMatchesGiniOracle:
         rows = X + [q[:len(X[0])] for q in queries]
         oracle = gini_tree(X, y, cp, maxdepth, minbucket, minsplit)
         params = {"cp": cp, "maxdepth": maxdepth, "minbucket": minbucket, "minsplit": minsplit}
-        tree = _build_learner(ToyLearnerSpec("cart_classifier"), params)
-        got = tree.fit(np.array(X), np.array(y)).predict(np.array(rows))
+        got, = _fold_probabilities(ToyLearnerSpec("cart_classifier"), params, np.array(rows),
+                                   np.array(y + [0] * len(queries)),
+                                   [np.arange(len(X))], [np.arange(len(rows))])
         assert got.tolist() == [oracle(x) for x in rows]
 
 
@@ -107,5 +114,165 @@ def test_threshold_between_neighbours_near_float_maximum():
     X = np.array([[1e308], [1.7e308]])
     with np.errstate(over="raise"):
         tree = _CartReg(min_leaf=1).fit(X, np.array([0.0, 1.0]))
-    assert 1e308 <= tree.threshold[0] < 1.7e308
+    assert 1e308 <= tree.trees.threshold[0] < 1.7e308
     assert tree.predict(X).tolist() == [0.0, 1.0]
+
+
+def reference_tree(X, y, rng=None, min_leaf=5, max_depth=20, split_features=0, min_split=0,
+                   cp=0.0):
+    """One tree grown by recursion, node by node and column by column.
+
+    The grower's reference: (feature, threshold, left, right, value) arrays
+    in preorder, the arithmetic of a per-node search.
+    """
+    nodes = []
+    min_gain = cp * float((y * y).sum() - y.sum() ** 2 / y.size)
+
+    def build(idx, depth):
+        y_node = y[idx]
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(y_node.mean())])
+        n = idx.size
+        if depth >= max_depth or n < max(min_split, 2 * min_leaf) or y_node.min() == y_node.max():
+            return node
+        feats = range(X.shape[1])
+        if split_features and rng is not None and split_features < len(feats):
+            feats = np.sort(rng.choice(len(feats), size=split_features, replace=False))
+        best = None
+        for f in feats:
+            order = np.argsort(X[idx, f], kind="stable")
+            xs, ys = X[idx[order], f], y_node[order]
+            csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
+            total, total_sq = csum[-1], csq[-1]
+            pos = np.arange(min_leaf, n - min_leaf + 1)
+            pos = pos[xs[pos - 1] < xs[pos]]
+            if pos.size == 0:
+                continue
+            left_sum, left_sq = csum[pos - 1], csq[pos - 1]
+            sse = ((left_sq - left_sum ** 2 / pos)
+                   + ((total_sq - left_sq) - (total - left_sum) ** 2 / (n - pos)))
+            j = int(np.argmin(sse))
+            if best is None or sse[j] < best[0]:
+                i = int(pos[j])
+                best = (float(sse[j]), int(f), xs[i - 1] / 2.0 + xs[i] / 2.0, order, i)
+        if best is None or max(total_sq - total ** 2 / n - best[0], 0.0) < min_gain:
+            return node
+        _, f, thr, order, i = best
+        nodes[node][:2] = f, thr
+        nodes[node][2] = build(idx[order[:i]], depth + 1)
+        nodes[node][3] = build(idx[order[i:]], depth + 1)
+        return node
+
+    build(np.arange(y.size), 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return (np.array(feature, dtype=np.int32), np.array(threshold),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32), np.array(value))
+
+
+def tree_arrays(trees, t):
+    """Tree t of grown trees as (feature, threshold, left, right, value), children local."""
+    bounds = [*trees.roots.tolist(), trees.feature.size]
+    a, b = bounds[t], bounds[t + 1]
+    local = [np.where(c[a:b] >= 0, c[a:b] - a, -1).astype(np.int32)
+             for c in (trees.left, trees.right)]
+    return trees.feature[a:b], trees.threshold[a:b], *local, trees.value[a:b]
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(
+        x.dtype == z.dtype and x.tobytes() == z.tobytes() for x, z in zip(a, b))
+
+
+@st.composite
+def growth(draw):
+    """Rows with ties, samples of them with repeats, tree parameters and generator seeds."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n)))
+    targets = draw(st.sampled_from([st.integers(0, 1).map(float), st.floats(-3.0, 3.0)]))
+    y = np.array(draw(st.lists(targets, min_size=n, max_size=n)))
+    samples = [np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+               for _ in range(draw(st.integers(1, 5)))]
+    params = dict(min_leaf=draw(st.integers(1, 4)), max_depth=draw(st.integers(0, 8)),
+                  split_features=draw(st.integers(0, p)), min_split=draw(st.integers(0, 12)),
+                  cp=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2))))
+    seed = draw(st.integers(0, 2 ** 32))
+    return X, y, samples, params, seed
+
+
+def generators(seed, count):
+    return [np.random.default_rng([seed, t]) for t in range(count)]
+
+
+class TestLockstepGrowth:
+    @settings(max_examples=150, deadline=None)
+    @given(case=growth())
+    def test_trees_grown_together_equal_trees_grown_alone(self, case):
+        X, y, samples, params, seed = case
+        together = grow(X, y, samples, generators(seed, len(samples)), **params)
+        for t, sample in enumerate(samples):
+            alone = grow(X, y, [sample], generators(seed, len(samples))[t:t + 1], **params)
+            assert same_bits(tree_arrays(together, t), tree_arrays(alone, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=growth())
+    def test_each_tree_equals_the_recursive_build(self, case):
+        X, y, samples, params, seed = case
+        together = grow(X, y, samples, generators(seed, len(samples)), **params)
+        for t, (sample, rng) in enumerate(zip(samples, generators(seed, len(samples)))):
+            assert same_bits(tree_arrays(together, t),
+                             reference_tree(X[sample], y[sample], rng, **params))
+
+    @pytest.mark.parametrize("y", [[0.0] * 6 + [1.0] * 6, [0, 1, 0, 1, 0, 0] + [1.0] * 6,
+                                   [1.0] * 6 + [0, 1, 0, 1, 0, 0]])
+    def test_a_child_with_one_target_is_a_leaf(self, y):
+        X, y = np.arange(12.0)[:, None], np.array(y)
+        grown = grow(X, y, [np.arange(12)], min_leaf=2)
+        assert same_bits(tree_arrays(grown, 0), reference_tree(X, y, min_leaf=2))
+
+    def test_search_blocks_split_without_changing_trees(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X, y = np.round(rng.normal(size=(90, 5)), 1), rng.normal(size=90)
+        samples = [rng.integers(0, 90, size=90) for _ in range(12)]
+        whole = grow(X, y, samples, generators(1, 12), split_features=2, min_leaf=2)
+        monkeypatch.setattr(_tree, "_GROW_CHUNK", 50)
+        blocks = grow(X, y, samples, generators(1, 12), split_features=2, min_leaf=2)
+        assert all(same_bits(tree_arrays(whole, t), tree_arrays(blocks, t)) for t in range(12))
+
+
+class TestForestPredict:
+    def test_mean_is_the_tree_order_sum_of_leaf_values(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, y = rng.normal(size=(60, 3)), rng.normal(size=60)
+        forest = _ForestReg(n_trees=9).fit(X, y, seed=4)
+        queries = rng.normal(size=(37, 3))
+        trees, rows = forest.trees, np.arange(37)
+        acc = np.zeros(37)
+        for t in range(9):
+            acc += trees.value[trees.leaves(queries, np.full(37, t), rows)]
+        monkeypatch.setattr(_tree, "_PREDICT_CHUNK", 20)  # two rows per walk
+        assert forest.predict(queries).tobytes() == (acc / 9).tobytes()
+        # the sum starts from 0.0, so leaves of -0.0 predict +0.0
+        stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], [0, 1])
+        assert stumps.mean(queries).tobytes() == np.zeros(37).tobytes()
+
+    def test_seeded_forest_is_pinned(self):
+        # digests of the trees and predictions of the recursive per-tree builder;
+        # a duplicate column ties the splits on it, which the sorted draw breaks
+        rng = np.random.default_rng(2024)
+        X = np.round(rng.uniform(0, 3, size=(40, 6)), 1)
+        X[:, 4] = X[:, 1]
+        y = np.sin(X[:, 0] * 2) + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 40)
+        forest = _ForestReg(n_trees=7).fit(X, y, seed=3)
+        queries = np.round(rng.uniform(-0.5, 3.5, size=(25, 6)), 2)
+        digest = hashlib.sha256()
+        for t in range(7):
+            for a in tree_arrays(forest.trees, t):
+                digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+        assert [len(tree_arrays(forest.trees, t)[0]) for t in range(7)] == [11, 11, 9, 11, 11, 11, 11]
+        assert digest.hexdigest() == (
+            "d65e73639dfcc643bda531e9d679cb1112cba62a53962145039938fa91e6c5c3")
+        predicted = forest.predict(np.vstack([X, queries]))
+        assert float(predicted[0]).hex() == "0x1.7778aaa0c8530p-1"
+        assert hashlib.sha256(predicted.astype("<f8").tobytes()).hexdigest() == (
+            "c79e9aa7c1986c63e4819c7ec3a6ea8a9e837a7d4b3a3790d3f4a3812830814b")
