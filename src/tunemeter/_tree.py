@@ -17,7 +17,10 @@ rounding and the tie order, of a search over that node's rows alone.
 
 The grown trees are array-coded (`_Trees`): the node arrays of all trees
 concatenated in tree order, children as indices into them, one root per
-tree. A leaf has feature −1; every node keeps the mean of its rows.
+tree. A leaf has feature −1; every node keeps the mean of its rows. These
+arrays are the fitted model: `_Trees(**trees.arrays())` rebuilds it, and
+`_Trees.predict`, the mean over the trees of each row's leaf value, makes
+one tree or a forest a regressor.
 """
 
 from __future__ import annotations
@@ -60,12 +63,12 @@ class _Trees:
             active = active[self.feature[at] >= 0]
         return node
 
-    def mean(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value, summed in tree order.
 
         The sum starts from 0.0 and adds one tree at a time, as a loop over
-        the trees would. At most `_PREDICT_CHUNK` (tree, row) pairs are
-        walked at once.
+        the trees would, so a leaf of -0.0 predicts +0.0. At most
+        `_PREDICT_CHUNK` (tree, row) pairs are walked at once.
         """
         X = np.ascontiguousarray(X, dtype=float)
         n_trees, n = self.roots.size, X.shape[0]
@@ -275,19 +278,3 @@ def _best_splits(X, ranks, y, batch, size, columns, min_leaf):
             least[node, f].tolist(), (changes[node, at - 1] == 0).tolist(),
             (changes[node, last] == changes[node, at]).tolist())
 
-
-class _CartReg:
-    """One regression tree grown by `grow` on all rows, as a fit/predict learner."""
-
-    def __init__(self, min_leaf: int = 5, max_depth: int = 20, min_split: int = 0,
-                 cp: float = 0.0):
-        self.params = dict(min_leaf=min_leaf, max_depth=max_depth, min_split=min_split, cp=cp)
-
-    def fit(self, X, y):
-        self.trees = grow(X, y, [np.arange(len(y))], **self.params)
-        return self
-
-    def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        rows = np.arange(X.shape[0])
-        return self.trees.value[self.trees.leaves(X, np.zeros_like(rows), rows)]

@@ -7,11 +7,12 @@ scores three cheap deterministic learners (nearest neighbors, elastic-net
 logistic regression, a classification tree) on synthetic datasets via
 stratified cross-validation.
 
-Each toy learner has `fit(X, y)` and a `predict(X)` that returns the
-probability of class 1. The classification tree is the surrogates' CART
-tree (`_tree.grow`) on the 0/1 labels: a node's Gini cost there is 2 × its
-sum of squared errors, so the tree makes rpart's Gini splits, and cp,
-relative to the root impurity, is unchanged.
+`_fold_probabilities` gives each CV fold's test rows the probability of
+class 1 under each toy learner. kNN takes the share of positive labels
+among a row's k nearest training rows. The classification tree is the
+surrogates' CART tree (`_tree.grow`) on the 0/1 labels: a node's Gini cost
+there is 2 × its sum of squared errors, so the tree makes rpart's Gini
+splits, and cp, relative to the root impurity, is unchanged.
 
 The neighbour search (`_nearest`), the column standardizer
 (`_Standardizer`) and the k-fold split (`stratified_folds`) are the
@@ -93,6 +94,9 @@ class MetaDataset:
 
     def validate(self) -> None:
         known = set(self.dataset_ids)
+        if len(known) < len(self.dataset_ids):
+            twice = next(i for i in self.dataset_ids if self.dataset_ids.count(i) > 1)
+            raise MetaFormatError(f"dataset {twice!r} is listed more than once")
         seen = set()
         for i, row in enumerate(self.rows):
             if row.dataset_id not in known:
@@ -243,22 +247,6 @@ class _Standardizer:
         return (X / self.scale - self.mu) / self.sd
 
 
-class _KnnClassifier:
-    """Share of positive labels among the k nearest training rows."""
-
-    def __init__(self, k: int):
-        self.k = int(k)
-
-    def fit(self, X, y):
-        self._X = np.asarray(X, dtype=float)
-        self._y = np.asarray(y, dtype=float)
-        return self
-
-    def predict(self, X):
-        index, _ = _nearest(self._X, np.asarray(X, dtype=float), self.k)
-        return self._y[index].mean(axis=1)
-
-
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
@@ -344,10 +332,8 @@ def _fold_probabilities(
         fold = np.repeat(np.arange(len(test_sets)), sizes)
         probs = trees.value[trees.leaves(X, fold, np.concatenate(test_sets))]
         return np.split(probs, np.cumsum(sizes)[:-1])
-    return [
-        _KnnClassifier(k=params["k"]).fit(X[train], y[train]).predict(X[test])
-        for train, test in zip(train_sets, test_sets)
-    ]
+    return [y[train][_nearest(X[train], X[test], params["k"])[0]].mean(axis=1)
+            for train, test in zip(train_sets, test_sets)]
 
 
 # -- cross-validation ------------------------------------------------------------

@@ -7,19 +7,19 @@ conditional); discrete parameters are one-hot encoded with an extra
 "inactive" level when conditional. Inactive numeric cells are imputed with
 the bounds midpoint.
 
-Five interchangeable regressor kinds are provided: a constant mean, least
-squares, distance-weighted nearest neighbors, a variance-reduction
-regression tree (the CART tree the toy bot also trains), and a bagged
-forest of such trees with per-split feature subsampling. Both tree kinds
-come from `_tree.grow`: a forest's bootstraps grow in one lockstep call into
-one array-coded forest (concatenated node arrays, one root per tree), and
-a forest prediction walks every tree at once and sums the trees' leaf
-values in tree order. The nearest neighbors regressor standardizes its
-columns and finds neighbors with the toy bot's `_Standardizer` and
+Five regressor kinds are provided: a constant mean, least squares,
+distance-weighted nearest neighbors, a variance-reduction regression tree
+(the CART tree the toy bot also trains), and a bagged forest of such trees
+with per-split feature subsampling. A fitted regressor is its arrays:
+`type(reg)(**reg.arrays())` rebuilds it and `reg.predict(X)` maps encoded
+rows to risks, so only fitting (`_fit_regressor`) tells the kinds apart.
+Both tree kinds are `_tree._Trees` from `_tree.grow`, a forest's bootstraps
+grown in one lockstep call. The nearest neighbors regressor standardizes
+its columns and finds neighbors with the toy bot's `_Standardizer` and
 `_nearest`; selection CV splits rows with the bot's `stratified_folds`.
 
-The surrogate cache stores a regressor's arrays as `.npz` and reads them
-back without unpickling.
+The surrogate cache stores a regressor's arrays as `.npz` beside a header
+and rebuilds the regressor from them without unpickling.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import derive_rng
-from ._tree import _CartReg, _Trees, grow
+from ._tree import _Trees, grow
 from .hyperspace import Configuration, SearchSpace
 from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
-SURROGATE_KINDS = ("constant", "linear", "knn_reg", "cart_reg", "forest_reg")
 # fixed tie-break order for selection, best candidate first
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
 # hashed into every cache key and stored in every cache file; bump it when
@@ -123,22 +122,22 @@ def encode(space: SearchSpace, rows: Sequence[ExperimentRow], measure: str) -> E
 # -- regressors ------------------------------------------------------------------
 
 class _ConstantReg:
-    def fit(self, X, y):
-        self.value = float(np.mean(y))
-        return self
+    def __init__(self, value):
+        self.value = float(value)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"value": np.array(self.value)}
 
     def predict(self, X):
         return np.full(X.shape[0], self.value)
 
 
 class _LinearReg:
-    def fit(self, X, y):
-        n, cols = X.shape
-        if n < cols + 1:
-            raise ValueError(f"linear surrogate needs >= {cols + 1} rows, got {n}")
-        design = np.hstack([np.ones((n, 1)), X])
-        self.beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        return self
+    def __init__(self, beta):
+        self.beta = np.asarray(beta, dtype=float)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"beta": self.beta}
 
     def predict(self, X):
         return np.hstack([np.ones((X.shape[0], 1)), X]) @ self.beta
@@ -151,21 +150,21 @@ class _KnnReg:
     coinciding rows, the limit of the weighting scheme.
     """
 
-    def __init__(self, k: int = 7):
-        self.k = k
+    def __init__(self, X, y, k):
+        self.X = np.asarray(X, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.k = int(k)
+        if self.k > self.X.shape[0]:
+            raise ValueError(f"k={self.k} exceeds {self.X.shape[0]} training rows")
+        self._standardize = _Standardizer(self.X)
+        self._scaled = self._standardize(self.X)
 
-    def fit(self, X, y):
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds {X.shape[0]} training rows")
-        self._rows = X
-        self._standardize = _Standardizer(X)
-        self._X = self._standardize(X)
-        self._y = np.asarray(y, dtype=float)
-        return self
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"k": np.array(self.k), "X": self.X, "y": self.y}
 
     def predict(self, X):
-        index, dk = _nearest(self._X, self._standardize(X), self.k)
-        yk = self._y[index]
+        index, dk = _nearest(self._scaled, self._standardize(X), self.k)
+        yk = self.y[index]
         exact = dk <= 0.0
         with np.errstate(divide="ignore"):
             w = np.where(exact, 0.0, 1.0 / dk)
@@ -174,28 +173,41 @@ class _KnnReg:
         return np.where(exact.any(axis=1), exact_mean, plain)
 
 
-class _ForestReg:
-    """Bagging of regression trees with per-split feature subsampling.
+# the class that rebuilds each kind from its arrays; SURROGATE_KINDS keeps this order
+_REGRESSORS = {"constant": _ConstantReg, "linear": _LinearReg, "knn_reg": _KnnReg,
+               "cart_reg": _Trees, "forest_reg": _Trees}
+SURROGATE_KINDS = tuple(_REGRESSORS)
+# the one parameter a kind takes, if any
+_PARAMETER = {"knn_reg": "k", "forest_reg": "n_trees"}
 
-    Tree t draws its bootstrap and then its feature subsets from its own
-    generator `derive_rng(seed, "tree", t)`. `grow` fits all trees in one
-    lockstep call on the bootstrap row indices, and the forest is one
-    array-coded `_Trees`; a prediction is the mean of the leaf values summed
-    in tree order.
+
+def _fit_regressor(kind: str, X: np.ndarray, y: np.ndarray, seed: int = 0, **params):
+    """Fit one regressor kind on (X, y); the only place that branches on the kind.
+
+    knn_reg takes k (default 7) and forest_reg takes n_trees (default 100).
+    A forest's tree t draws its bootstrap and then its feature subsets, a
+    third of the columns per split, from `derive_rng(seed, "tree", t)`.
     """
-
-    def __init__(self, n_trees: int = 100):
-        self.n_trees = n_trees
-
-    def fit(self, X, y, seed: int = 0):
-        n, cols = X.shape
-        rngs = [derive_rng(seed, "tree", t) for t in range(self.n_trees)]
-        boots = [rng.integers(0, n, size=n) for rng in rngs]
-        self.trees = grow(X, y, boots, rngs, split_features=max(1, cols // 3))
-        return self
-
-    def predict(self, X):
-        return self.trees.mean(X)
+    if kind not in _REGRESSORS:
+        raise ValueError(f"unknown surrogate kind {kind!r}")
+    for name in params:
+        if name != _PARAMETER.get(kind):
+            raise ValueError(f"the {kind} surrogate takes no parameter {name!r}")
+    n, cols = X.shape
+    if kind == "constant":
+        return _ConstantReg(np.mean(y))
+    if kind == "linear":
+        if n < cols + 1:
+            raise ValueError(f"linear surrogate needs >= {cols + 1} rows, got {n}")
+        beta, *_ = np.linalg.lstsq(np.hstack([np.ones((n, 1)), X]), y, rcond=None)
+        return _LinearReg(beta)
+    if kind == "knn_reg":
+        return _KnnReg(X, y, params.get("k", 7))
+    if kind == "cart_reg":
+        return grow(X, y, [np.arange(n)])
+    rngs = [derive_rng(seed, "tree", t) for t in range(params.get("n_trees", 100))]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    return grow(X, y, boots, rngs, split_features=max(1, cols // 3))
 
 
 @dataclass
@@ -228,22 +240,10 @@ def fit_surrogate(
 ) -> SurrogateModel:
     """Fit one regressor kind on an encoded matrix.
 
-    Extra keyword parameters reach the regressor (k for knn_reg, n_trees for
-    forest_reg).
+    Extra keyword parameters reach the regressor: k for knn_reg, n_trees for
+    forest_reg; any other raises ValueError.
     """
-    if kind not in SURROGATE_KINDS:
-        raise ValueError(f"unknown surrogate kind {kind!r}")
-    X, y = matrix.features, matrix.targets
-    if kind == "constant":
-        reg = _ConstantReg().fit(X, y)
-    elif kind == "linear":
-        reg = _LinearReg().fit(X, y)
-    elif kind == "knn_reg":
-        reg = _KnnReg(k=params.get("k", 7)).fit(X, y)
-    elif kind == "cart_reg":
-        reg = _CartReg().fit(X, y)
-    else:
-        reg = _ForestReg(n_trees=params.get("n_trees", 100)).fit(X, y, seed=seed)
+    reg = _fit_regressor(kind, matrix.features, matrix.targets, seed, **params)
     return SurrogateModel(
         kind=kind, dataset_id=dataset_id, measure=measure, encoder=matrix.encoder, regressor=reg
     )
@@ -389,7 +389,7 @@ def fit_all_surrogates(
             tmp = path.with_suffix(".tmp")
             with open(tmp, "wb") as fh:
                 np.savez(fh, **_cache_header(kind, ds.id, measure),
-                         **_regressor_arrays(kind, model.regressor))
+                         **model.regressor.arrays())
             tmp.replace(path)
         out[ds.id] = model
     return out
@@ -400,17 +400,6 @@ def _cache_header(kind: str, dataset_id: str, measure: str) -> dict[str, np.ndar
             "measure": np.array(measure), "format": np.array(_CACHE_FORMAT)}
 
 
-def _regressor_arrays(kind: str, reg) -> dict[str, np.ndarray]:
-    """The arrays that rebuild a fitted regressor; kNN keeps its training rows."""
-    if kind == "constant":
-        return {"value": np.array(reg.value)}
-    if kind == "linear":
-        return {"beta": reg.beta}
-    if kind == "knn_reg":
-        return {"k": np.array(reg.k), "X": reg._rows, "y": reg._y}
-    return reg.trees.arrays()
-
-
 def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
     """The regressor stored at `path`, refused unless it is the requested surrogate."""
     refused = ValueError(f"cache file {path} does not hold the {kind} surrogate "
@@ -418,7 +407,7 @@ def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
     arrays = {}
     try:
         stored = np.load(path, allow_pickle=False)
-        if isinstance(stored, np.lib.npyio.NpzFile):  # not a lone .npy array
+        if not isinstance(stored, np.ndarray):  # an .npz archive, not a lone .npy array
             with stored:
                 arrays = {name: stored[name] for name in stored.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -428,20 +417,9 @@ def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
            for name, value in header.items()):
         raise refused
     try:
-        if kind == "constant":
-            reg = _ConstantReg()
-            reg.value = float(arrays["value"])
-        elif kind == "linear":
-            reg = _LinearReg()
-            reg.beta = arrays["beta"]
-        elif kind == "knn_reg":
-            reg = _KnnReg(k=int(arrays["k"])).fit(arrays["X"], arrays["y"])
-        else:
-            reg = _CartReg() if kind == "cart_reg" else _ForestReg(arrays["roots"].size)
-            reg.trees = _Trees(**arrays)
-    except (KeyError, TypeError) as exc:
+        return _REGRESSORS[kind](**arrays)
+    except (KeyError, TypeError, ValueError) as exc:
         raise refused from exc
-    return reg
 
 
 def _cache_key(algorithm, dataset_id, measure, kind, seed, params, matrix) -> str:

@@ -1,9 +1,11 @@
+import json
 import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunemeter import metadata
 from tunemeter.hyperspace import (
     Configuration,
     DatasetInfo,
@@ -21,7 +23,6 @@ from tunemeter.metadata import (
     ExperimentRow,
     ToyLearnerSpec,
     _ElasticNetLogReg,
-    _KnnClassifier,
     cross_validate,
     generate_bot_data,
     make_synthetic_dataset,
@@ -196,8 +197,7 @@ class TestCrossValidate:
 
     def test_unknown_measure_rejected_before_training(self, monkeypatch):
         fits = []
-        monkeypatch.setattr(_KnnClassifier, "fit",
-                            lambda self, X, y: fits.append(1) or self)
+        monkeypatch.setattr(metadata, "_nearest", lambda *args: fits.append(1))
         ds = make_synthetic_dataset("gaussian_blobs", n=20, p=2, separation=2, seed=0)
         learner = ToyLearnerSpec("knn_classifier", folds=5)
         with pytest.raises(ValueError, match="unknown measure 'logloss'"):
@@ -483,6 +483,25 @@ class TestMetaIO:
         meta.rows[0].measures["auc"] = float("nan")
         with pytest.raises(MetaFormatError, match="non-finite"):
             write_meta(meta, tmp_path / "x.csv")
+
+    def test_repeated_dataset_id_rejected(self, tmp_path):
+        # a repeated id would score its dataset twice in surrogate selection
+        meta = self.build_meta()
+        meta.dataset_infos.append(meta.dataset_infos[1])
+        with pytest.raises(MetaFormatError, match="'d1' is listed more than once"):
+            meta.validate()
+        with pytest.raises(MetaFormatError, match="'d1'"):
+            write_meta(meta, tmp_path / "x.csv")
+
+    def test_manifest_repeating_a_dataset_id_rejected(self, tmp_path):
+        path = tmp_path / "kknn.csv"
+        write_meta(self.build_meta(), path)
+        manifest_path = tmp_path / "kknn.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["datasets"].append(manifest["datasets"][0])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(MetaFormatError, match="'d0' is listed more than once"):
+            read_meta(path)
 
     def test_condition_violation_rejected(self, tmp_path):
         space = bundled_space("svm")

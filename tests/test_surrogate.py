@@ -115,16 +115,16 @@ class TestRegressors:
         ys = xs ** 0.65
         X = np.column_stack([xs, np.full(37, 0.1)])
         assert np.std(X[:, 1]) > 0
-        with_column = _KnnReg().fit(X, ys)
-        without = _KnnReg().fit(xs[:, None], ys)
+        with_column = _KnnReg(X, ys, 7)
+        without = _KnnReg(xs[:, None], ys, 7)
         queries = np.linspace(0.0, 1.0, 11)
         assert without.predict(np.array([[0.9]]))[0] == pytest.approx(0.931, abs=5e-4)
         np.testing.assert_allclose(
             with_column.predict(np.column_stack([queries, np.full(11, 0.1)])),
             without.predict(queries[:, None]), rtol=1e-12, atol=1e-12)
         away = np.column_stack([queries, np.full(11, 0.2)])
-        index, _ = _nearest(with_column._X, with_column._standardize(away), 7)
-        expected, _ = _nearest(without._X, without._standardize(queries[:, None]), 7)
+        index, _ = _nearest(with_column._scaled, with_column._standardize(away), 7)
+        expected, _ = _nearest(without._scaled, without._standardize(queries[:, None]), 7)
         # the column moves every row equally far away, so it keeps each neighbour set
         assert np.sort(index, axis=1).tolist() == np.sort(expected, axis=1).tolist()
 
@@ -157,6 +157,13 @@ class TestRegressors:
     def test_linear_degenerate_errors(self):
         with pytest.raises(ValueError, match="rows"):
             self.fit_on("linear", [0.5], [0.2])
+
+    @pytest.mark.parametrize("kind,name", [("forest_reg", "ntrees"), ("knn_reg", "n_trees"),
+                                           ("constant", "k"), ("cart_reg", "min_leaf")])
+    def test_parameter_the_kind_does_not_take_errors(self, kind, name):
+        xs = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match=f"{kind} surrogate takes no parameter '{name}'"):
+            self.fit_on(kind, xs, xs, **{name: 5})
 
     def test_knn_k_exceeding_rows_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -305,7 +312,8 @@ class TestCache:
         for foreign in (b"not a model", np.arange(3), {**stored, "dataset": np.array("d9")},
                         {**stored, "format": stored["format"] - 1},
                         {k: v for k, v in stored.items() if k != "value"},
-                        {**stored, "value": np.array([None])}):
+                        {**stored, "value": np.array([None])},
+                        {**stored, "extra": np.arange(2)}, {**stored, "value": np.array("oops")}):
             if isinstance(foreign, bytes):
                 path.write_bytes(foreign)
             elif isinstance(foreign, np.ndarray):

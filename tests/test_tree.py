@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tunemeter import _tree
-from tunemeter._tree import _CartReg, _Trees, grow
-from tunemeter.surrogate import _ForestReg
+from tunemeter._tree import _Trees, grow
+from tunemeter.surrogate import _fit_regressor
 from tunemeter.metadata import ToyLearnerSpec, _fold_probabilities
 
 NEAR = 1e-9  # relative distance below which two gains count as tied
@@ -113,8 +113,8 @@ class TestCartMatchesGiniOracle:
 def test_threshold_between_neighbours_near_float_maximum():
     X = np.array([[1e308], [1.7e308]])
     with np.errstate(over="raise"):
-        tree = _CartReg(min_leaf=1).fit(X, np.array([0.0, 1.0]))
-    assert 1e308 <= tree.trees.threshold[0] < 1.7e308
+        tree = grow(X, np.array([0.0, 1.0]), [np.arange(2)], min_leaf=1)
+    assert 1e308 <= tree.threshold[0] < 1.7e308
     assert tree.predict(X).tolist() == [0.0, 1.0]
 
 
@@ -244,17 +244,17 @@ class TestForestPredict:
     def test_mean_is_the_tree_order_sum_of_leaf_values(self, monkeypatch):
         rng = np.random.default_rng(11)
         X, y = rng.normal(size=(60, 3)), rng.normal(size=60)
-        forest = _ForestReg(n_trees=9).fit(X, y, seed=4)
-        queries = rng.normal(size=(37, 3))
-        trees, rows = forest.trees, np.arange(37)
+        forest = _fit_regressor("forest_reg", X, y, seed=4, n_trees=9)
+        queries, rows = rng.normal(size=(37, 3)), np.arange(37)
         acc = np.zeros(37)
         for t in range(9):
-            acc += trees.value[trees.leaves(queries, np.full(37, t), rows)]
+            acc += forest.value[forest.leaves(queries, np.full(37, t), rows)]
         monkeypatch.setattr(_tree, "_PREDICT_CHUNK", 20)  # two rows per walk
         assert forest.predict(queries).tobytes() == (acc / 9).tobytes()
-        # the sum starts from 0.0, so leaves of -0.0 predict +0.0
-        stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], [0, 1])
-        assert stumps.mean(queries).tobytes() == np.zeros(37).tobytes()
+        # the sum starts from 0.0, so leaves of -0.0 predict +0.0, for one tree too
+        for roots in ([0], [0, 1]):
+            stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], roots)
+            assert stumps.predict(queries).tobytes() == np.zeros(37).tobytes()
 
     def test_seeded_forest_is_pinned(self):
         # digests of the trees and predictions of the recursive per-tree builder;
@@ -263,13 +263,13 @@ class TestForestPredict:
         X = np.round(rng.uniform(0, 3, size=(40, 6)), 1)
         X[:, 4] = X[:, 1]
         y = np.sin(X[:, 0] * 2) + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 40)
-        forest = _ForestReg(n_trees=7).fit(X, y, seed=3)
+        forest = _fit_regressor("forest_reg", X, y, seed=3, n_trees=7)
         queries = np.round(rng.uniform(-0.5, 3.5, size=(25, 6)), 2)
         digest = hashlib.sha256()
         for t in range(7):
-            for a in tree_arrays(forest.trees, t):
+            for a in tree_arrays(forest, t):
                 digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
-        assert [len(tree_arrays(forest.trees, t)[0]) for t in range(7)] == [11, 11, 9, 11, 11, 11, 11]
+        assert [len(tree_arrays(forest, t)[0]) for t in range(7)] == [11, 11, 9, 11, 11, 11, 11]
         assert digest.hexdigest() == (
             "d65e73639dfcc643bda531e9d679cb1112cba62a53962145039938fa91e6c5c3")
         predicted = forest.predict(np.vstack([X, queries]))
