@@ -43,6 +43,8 @@ class _Trees:
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=float)
         self.roots = np.asarray(roots, dtype=np.int32)
+        if self.roots.size == 0:
+            raise ValueError("trees need at least one root")
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name)

@@ -153,6 +153,8 @@ class _KnnReg:
     def __init__(self, X, y, k):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        if np.ndim(k) or np.asarray(k).dtype.kind not in "iu" or k < 1:
+            raise ValueError(f"k={k} is not an integer >= 1")
         self.k = int(k)
         if self.k > self.X.shape[0]:
             raise ValueError(f"k={self.k} exceeds {self.X.shape[0]} training rows")
@@ -184,7 +186,7 @@ _PARAMETER = {"knn_reg": "k", "forest_reg": "n_trees"}
 def _fit_regressor(kind: str, X: np.ndarray, y: np.ndarray, seed: int = 0, **params):
     """Fit one regressor kind on (X, y); the only place that branches on the kind.
 
-    knn_reg takes k (default 7) and forest_reg takes n_trees (default 100).
+    knn_reg takes an integer k >= 1 (default 7), forest_reg n_trees >= 1 (default 100).
     A forest's tree t draws its bootstrap and then its feature subsets, a
     third of the columns per split, from `derive_rng(seed, "tree", t)`.
     """
@@ -205,7 +207,10 @@ def _fit_regressor(kind: str, X: np.ndarray, y: np.ndarray, seed: int = 0, **par
         return _KnnReg(X, y, params.get("k", 7))
     if kind == "cart_reg":
         return grow(X, y, [np.arange(n)])
-    rngs = [derive_rng(seed, "tree", t) for t in range(params.get("n_trees", 100))]
+    n_trees = params.get("n_trees", 100)
+    if n_trees < 1:
+        raise ValueError(f"the {kind} surrogate needs n_trees >= 1, got {n_trees}")
+    rngs = [derive_rng(seed, "tree", t) for t in range(n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
     return grow(X, y, boots, rngs, split_features=max(1, cols // 3))
 
@@ -292,8 +297,10 @@ def evaluate_surrogates(
     """Repeated k-fold CV of every candidate kind on every dataset.
 
     The folds are `stratified_folds` of one class; fewer than 2 folds, or
-    fewer rows than folds on a dataset, raise ValueError.
+    fewer rows than folds on a dataset, raise ValueError. Meta-data that
+    fails `MetaDataset.validate` raises MetaFormatError first.
     """
+    meta.validate()
     cells = []
     for ds in meta.dataset_infos:
         rows = meta.rows_for(ds.id)
@@ -368,8 +375,10 @@ def fit_all_surrogates(
 
     A cache file is an `.npz` of the regressor's arrays beside its kind,
     dataset, measure and cache format; it is read without unpickling, and
-    the encoder is rebuilt from `meta.space`.
+    the encoder is rebuilt from `meta.space`. Meta-data that fails
+    `MetaDataset.validate` raises MetaFormatError first.
     """
+    meta.validate()
     out = {}
     for ds in meta.dataset_infos:
         rows = meta.rows_for(ds.id)

@@ -246,10 +246,8 @@ def tunability_algorithm(
     optima: dict[str, MinimizeResult],
     reference_label: str = "optimal",
 ) -> AlgorithmTunability:
-    per = {}
-    for ds, pred in predictors.items():
-        ref_risk = float(pred.predict_many([reference])[0])
-        per[ds] = ref_risk - optima[ds].risk
+    per = {ds: float(pred.predict_many([reference])[0]) - optima[ds].risk
+           for ds, pred in predictors.items()}
     return AlgorithmTunability(reference_label, per, aggregate_all(per.values()))
 
 
@@ -367,7 +365,6 @@ def conditional_reference(
     scaling: RiskTransform,
     g: SummarySpec,
     optimizer: OptimizerSpec,
-    extra_pins: Optional[dict] = None,
     context: str = "conditional",
 ) -> Configuration:
     """Reference for scoring a parameter that the defaults leave inactive.
@@ -376,12 +373,8 @@ def conditional_reference(
     remaining parameters are re-optimized as defaults under that pin.
     """
     parent, value = activating_assignment(space, param)
-    pins = {parent: value}
-    if extra_pins:
-        pins.update(extra_pins)
-    res = compute_defaults(predictors, space, scaling, g, optimizer,
-                           fixed=pins, context=f"{context}:{param}")
-    return res.config
+    return compute_defaults(predictors, space, scaling, g, optimizer,
+                            fixed={parent: value}, context=f"{context}:{param}").config
 
 
 # -- cross-validation over datasets ---------------------------------------------------

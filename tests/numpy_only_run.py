@@ -1,0 +1,35 @@
+"""Import every tunemeter module and run the smallest analysis with scipy blocked.
+
+numpy is the package's only runtime dependency. This script makes any
+import of scipy fail, imports each module, scores one toy learner by
+cross-validated AUC and ranks two surrogate kinds by CV R^2 and Kendall's
+tau. Run it with only numpy installed: `python tests/numpy_only_run.py`
+(add `src` to PYTHONPATH when the package is not installed).
+"""
+
+import importlib
+import pkgutil
+import sys
+
+sys.modules["scipy"] = None  # `import scipy` and `from scipy import ...` now raise ImportError
+
+import tunemeter  # noqa: E402
+from tunemeter.hyperspace import make_configuration  # noqa: E402
+from tunemeter.metadata import (  # noqa: E402
+    ToyLearnerSpec,
+    cross_validate,
+    generate_bot_data,
+    make_synthetic_dataset,
+)
+from tunemeter.surrogate import evaluate_surrogates  # noqa: E402
+
+for module in pkgutil.iter_modules(tunemeter.__path__):
+    importlib.import_module(f"tunemeter.{module.name}")
+
+learner = ToyLearnerSpec("knn_classifier", folds=4)
+dataset = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
+config = make_configuration(learner.space(), {"k": 5})
+print("auc", cross_validate(learner, config, dataset, 4, ("auc",), seed=0)["auc"])
+(meta,) = generate_bot_data([learner], [dataset], rows_per_pair=12, seed=0).values()
+report = evaluate_surrogates(meta, "auc", kinds=("knn_reg", "constant"), reps=1, folds=3)
+print("r2, tau", report.mean_by_kind())

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
+from tunemeter import metrics
 from tunemeter.metrics import (
     DatasetRiskStats,
     MeasureSpec,
@@ -41,6 +44,70 @@ class TestAuc:
             if labels.min() == labels.max():
                 continue
             assert auc(scores, labels) + auc(-scores, labels) == pytest.approx(1.0)
+
+
+# heavy ties, signed zeros and both infinities
+TIED = (-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf)
+
+
+@st.composite
+def paired_sides(draw, max_size=60):
+    """Two equal-length float arrays; each is tied, free, or constant, and may hold a NaN."""
+    n = draw(st.integers(2, max_size))
+
+    def side():
+        kind = draw(st.sampled_from(("tied", "free", "constant")))
+        if kind == "constant":
+            values = [draw(st.sampled_from(TIED))] * n
+        else:
+            element = st.sampled_from(TIED) if kind == "tied" else st.floats(allow_nan=False)
+            values = draw(st.lists(element, min_size=n, max_size=n))
+        if draw(st.integers(0, 9)) == 0:
+            values[draw(st.integers(0, n - 1))] = np.nan
+        return np.array(values)
+
+    return side(), side()
+
+
+def same_bits(got, expected) -> bool:
+    """Equal to the bit, where any NaN equals any NaN."""
+    if np.isnan(expected):
+        return bool(np.isnan(got))
+    return np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def scipy_auc(scores, labels) -> float:
+    ranks = stats.rankdata(scores)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    return (float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+class TestRankMeasuresMatchScipy:
+    @settings(max_examples=400, deadline=None)
+    @given(sides=paired_sides())
+    def test_auc_is_the_scipy_rank_sum(self, sides):
+        scores, raw = sides
+        labels = (np.nan_to_num(raw) > 0).astype(int)
+        assume(labels.min() < labels.max())
+        assert same_bits(auc(scores, labels), scipy_auc(scores, labels))
+
+    @settings(max_examples=400, deadline=None)
+    @given(sides=paired_sides(), block=st.sampled_from((1, 7, 64, 1 << 20)))
+    def test_kendall_tau_is_scipy_tau_b(self, sides, block):
+        actual, predicted = sides
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_PAIR_BLOCK", block)  # 1 and 7 split rows into blocks
+            got = kendall_tau(actual, predicted)
+        assert same_bits(got, stats.kendalltau(actual, predicted).statistic)
+
+    def test_kendall_tau_over_several_default_blocks(self):
+        rng = np.random.default_rng(12)
+        n = 2500
+        assert metrics._PAIR_BLOCK // n < n  # more rows than one block at the default size
+        actual = np.round(rng.normal(size=n), 1)
+        predicted = np.round(actual + rng.normal(size=n), 1)
+        assert same_bits(kendall_tau(actual, predicted),
+                         stats.kendalltau(actual, predicted).statistic)
 
 
 class TestAccuracyBrier:

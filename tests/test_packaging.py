@@ -1,5 +1,9 @@
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,42 @@ def test_every_module_level_name_is_read():
                for statement in ast.parse(path.read_text(encoding="utf-8")).body
                for name in sorted(defined_names(statement)) if name not in read]
     assert orphans == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]] == ["numpy"]
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the packages a module imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_absolute_import_detector():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+              "from . import metrics\nfrom .metrics import auc\nfrom scipy.stats import rankdata\n")
+    assert absolute_imports(source) == {"__future__", "os", "numpy", "scipy"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_imports_only_the_standard_library_and_numpy(name):
+    imported = absolute_imports((PACKAGE / name).read_text(encoding="utf-8"))
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "tunemeter"} == set()
+
+
+def test_package_runs_with_scipy_blocked():
+    # tests/numpy_only_run.py is also the CI job that installs numpy alone
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("numpy_only_run.py"))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from tunemeter.hyperspace import (
     make_configuration,
     sample_configuration,
 )
-from tunemeter.metadata import ExperimentRow, _nearest
+from tunemeter.metadata import ExperimentRow, MetaFormatError, _nearest
 from tunemeter.metrics import r_squared
 from tunemeter.surrogate import (
     SURROGATE_KINDS,
@@ -169,6 +169,18 @@ class TestRegressors:
         with pytest.raises(ValueError, match="exceeds"):
             self.fit_on("knn_reg", [0.1, 0.2], [0.0, 1.0], k=7)
 
+    @pytest.mark.parametrize("k", [0, -3, 2.7, 7.0, True])
+    def test_knn_k_must_be_a_positive_integer(self, k):
+        xs = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match=f"k={k} is not an integer >= 1"):
+            self.fit_on("knn_reg", xs, xs, k=k)
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_forest_needs_a_tree(self, n_trees):
+        xs = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match="forest_reg surrogate needs n_trees >= 1"):
+            self.fit_on("forest_reg", xs, xs, n_trees=n_trees)
+
     def test_cart_leaf_values_are_leaf_means(self):
         # two clearly separated plateaus; min_leaf forces one split, leaves = means
         xs = [0.0, 0.05, 0.1, 0.15, 0.2, 0.8, 0.85, 0.9, 0.95, 1.0]
@@ -244,6 +256,15 @@ class TestEvaluateSurrogates:
         meta = smooth_sine_meta(n_rows=5, seed=3)
         with pytest.raises(ValueError, match="fewer"):
             evaluate_surrogates(meta, "brier", reps=1, folds=10, seed=0)
+
+    def test_repeated_dataset_id_rejected(self):
+        # unvalidated, the repeated id would be scored (and fitted) twice
+        meta = smooth_sine_meta(n_rows=40)
+        meta.dataset_infos.append(meta.dataset_infos[0])
+        with pytest.raises(MetaFormatError, match="'d0' is listed more than once"):
+            evaluate_surrogates(meta, "brier", kinds=("constant",), reps=1, folds=5)
+        with pytest.raises(MetaFormatError, match="'d0' is listed more than once"):
+            fit_all_surrogates(meta, "brier", kind="constant")
 
 
 class TestSelectSurrogate:
@@ -323,6 +344,22 @@ class TestCache:
                 np.savez(path, **foreign)
             with pytest.raises(ValueError, match=path.name):
                 fit_all_surrogates(meta, "brier", kind="constant", seed=1, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("kind,params,name,value", [
+        ("knn_reg", {}, "k", np.array(0)),
+        ("knn_reg", {}, "k", np.array(2.7)),
+        ("forest_reg", {"n_trees": 3}, "roots", np.array([], dtype=np.int32)),
+    ])
+    def test_cache_file_with_parameter_out_of_range_rejected(self, tmp_path, kind, params,
+                                                            name, value):
+        meta = smooth_sine_meta(n_rows=60, seed=4)
+        fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path, **params)
+        (path,) = tmp_path.glob("*.npz")
+        with np.load(path) as npz:
+            stored = dict(npz)
+        np.savez(path, **{**stored, name: value})
+        with pytest.raises(ValueError, match=path.name):
+            fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path, **params)
 
     @pytest.mark.parametrize("kind", SURROGATE_KINDS)
     def test_every_kind_round_trips(self, tmp_path, kind):
