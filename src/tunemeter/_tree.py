@@ -21,10 +21,20 @@ tree. A leaf has feature −1; every node keeps the mean of its rows. These
 arrays are the fitted model: `_Trees(**trees.arrays())` rebuilds it, and
 `_Trees.predict`, the mean over the trees of each row's leaf value, makes
 one tree or a forest a regressor.
+
+The split thresholds of each column cut the feature space into cells, and
+trees are constant on each cell: rows in one cell reach the same leaf in
+every tree. `_Trees.predict` therefore walks the first row of each distinct
+cell of a batch and gives its sum to the cell's other rows, which is
+bit-identical to walking them all. A random search draws many candidates
+into few cells (a one-parameter slice falls into at most one cell per
+interval between that column's thresholds), so most rows are never walked.
+The thresholds are derived from the node arrays, not stored with them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +44,14 @@ _PREDICT_CHUNK = 1 << 13  # (tree, row) pairs walked at once
 
 
 class _Trees:
-    """Array-coded trees: concatenated node arrays and one root per tree."""
+    """Array-coded trees: concatenated node arrays and one root per tree.
+
+    The arrays must code trees in preorder: equal lengths, roots that
+    strictly increase and lie in range, the children of each inner node
+    after it and before the next tree's root, and no NaN threshold at an
+    inner node. So every walk ends within its tree's nodes, and arrays read
+    from outside (a cache file) raise ValueError rather than loop.
+    """
 
     def __init__(self, feature, threshold, left, right, value, roots):
         self.feature = np.asarray(feature, dtype=np.int32)
@@ -43,12 +60,35 @@ class _Trees:
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=float)
         self.roots = np.asarray(roots, dtype=np.int32)
-        if self.roots.size == 0:
-            raise ValueError("trees need at least one root")
+        nodes = self.feature.shape
+        if self.roots.ndim != 1 or self.roots.size == 0:
+            raise ValueError("trees need a flat array of at least one root")
+        if len(nodes) != 1 or any(getattr(self, name).shape != nodes
+                                  for name in ("threshold", "left", "right", "value")):
+            raise ValueError("node arrays must be flat and of one length")
+        if self.roots[0] < 0 or self.roots[-1] >= nodes[0] or np.any(np.diff(self.roots) <= 0):
+            raise ValueError("roots must strictly increase and index the nodes")
+        inner = np.flatnonzero(self.feature >= 0)
+        # the end of each inner node's tree: the next tree's root, or the node count
+        end = np.append(self.roots[1:], nodes[0])[np.searchsorted(self.roots, inner,
+                                                                   side="right") - 1]
+        for child in (self.left[inner], self.right[inner]):
+            if np.any((child <= inner) | (child >= end)):
+                raise ValueError("children must follow their node within its tree")
+        if np.any(np.isnan(self.threshold[inner])):
+            raise ValueError("inner nodes need thresholds that are not NaN")
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name)
                 for name in ("feature", "threshold", "left", "right", "value", "roots")}
+
+    @functools.cached_property
+    def _cuts(self) -> list[tuple[int, np.ndarray]]:
+        """(column, its sorted distinct thresholds) for each column some node splits on."""
+        inner = self.feature >= 0
+        pairs = np.unique(np.column_stack([self.feature[inner], self.threshold[inner]]), axis=0)
+        columns, starts = np.unique(pairs[:, 0], return_index=True)
+        return list(zip(columns.astype(int).tolist(), np.split(pairs[:, 1], starts[1:])))
 
     def leaves(self, X: np.ndarray, trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The leaf that row `rows[i]` of `X` reaches in tree `trees[i]`, for every i.
@@ -68,22 +108,39 @@ class _Trees:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value, summed in tree order.
 
+        The thresholds of a column (its cuts) cut its axis into intervals,
+        and the cuts of all columns cut the feature space into cells. Two rows
+        in one cell take the same side of every threshold, so they reach the
+        same leaf in every tree: only the first row of each distinct cell is
+        walked, and its sum is given to every row of the cell. A row's
+        interval on a column is the number of cuts below its value
+        (`searchsorted`, left side), since a row goes left at a node when its
+        value is at most the threshold; NaN sorts above every cut and, like
+        +inf, goes right everywhere, and -0.0 compares as 0.0. So the result
+        is bit-identical to walking every row.
+
         The sum starts from 0.0 and adds one tree at a time, as a loop over
         the trees would, so a leaf of -0.0 predicts +0.0. At most
         `_PREDICT_CHUNK` (tree, row) pairs are walked at once.
         """
         X = np.ascontiguousarray(X, dtype=float)
         n_trees, n = self.roots.size, X.shape[0]
-        out = np.empty(n)
+        # each row's cell, numbered densely after each column, and the first row of each cell
+        cell = np.zeros(n, dtype=np.intp)
+        for column, cuts in self._cuts:
+            cell = np.unique(cell * (cuts.size + 1) + np.searchsorted(cuts, X[:, column]),
+                             return_inverse=True)[1]
+        first = np.unique(cell, return_index=True)[1]
+        sums = np.empty(first.size)
         step = max(1, _PREDICT_CHUNK // n_trees)
-        for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
+        for start in range(0, first.size, step):
+            rows = first[start:start + step]
             trees = np.repeat(np.arange(n_trees), rows.size)
             vals = self.value[self.leaves(X, trees, np.tile(rows, n_trees))]
             vals = vals.reshape(n_trees, rows.size)
             vals[0] += 0.0  # the sum's 0.0 start: a -0.0 leaf adds as +0.0
-            out[rows] = np.cumsum(vals, axis=0)[-1]
-        return out / n_trees
+            sums[start:start + rows.size] = np.cumsum(vals, axis=0)[-1]
+        return (sums / n_trees)[cell]
 
 
 def grow(

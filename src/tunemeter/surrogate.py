@@ -14,9 +14,11 @@ with per-split feature subsampling. A fitted regressor is its arrays:
 `type(reg)(**reg.arrays())` rebuilds it and `reg.predict(X)` maps encoded
 rows to risks, so only fitting (`_fit_regressor`) tells the kinds apart.
 Both tree kinds are `_tree._Trees` from `_tree.grow`, a forest's bootstraps
-grown in one lockstep call. The nearest neighbors regressor standardizes
-its columns and finds neighbors with the toy bot's `_Standardizer` and
-`_nearest`; selection CV splits rows with the bot's `stratified_folds`.
+grown in one lockstep call; their predict walks one row per cell of the
+grid cut by the trees' thresholds, so repeated and near candidates cost
+little. The nearest neighbors regressor standardizes its columns and
+finds neighbors with the toy bot's `_Standardizer` and `_nearest`;
+selection CV splits rows with the bot's `stratified_folds`.
 
 The surrogate cache stores a regressor's arrays as `.npz` beside a header
 and rebuilds the regressor from them without unpickling.

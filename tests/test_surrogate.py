@@ -361,6 +361,26 @@ class TestCache:
         with pytest.raises(ValueError, match=path.name):
             fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path, **params)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: {"left": np.where(a["feature"] >= 0, np.arange(a["left"].size), -1)},
+        lambda a: {"right": np.where(a["feature"] >= 0, a["roots"][-1], -1)},
+        lambda a: {"threshold": np.where(a["feature"] >= 0, np.nan, a["threshold"])},
+        lambda a: {"value": a["value"][:-1]},
+        lambda a: {"roots": a["roots"][::-1]},
+    ], ids=["self_loop", "across_trees", "nan_threshold", "short_value", "roots_reversed"])
+    def test_cache_file_that_is_not_trees_in_preorder_rejected(self, tmp_path, corrupt):
+        meta = smooth_sine_meta(n_rows=60, seed=4)
+        fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1, cache_dir=tmp_path,
+                           n_trees=3)
+        (path,) = tmp_path.glob("*.npz")
+        with np.load(path) as npz:
+            stored = dict(npz)
+        np.savez(path, **{**stored, **corrupt(stored)})
+        with pytest.raises(ValueError, match=path.name):
+            models = fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1,
+                                        cache_dir=tmp_path, n_trees=3)
+            models["d0"].predict_encoded(np.linspace(0.0, 6.0, 7)[:, None])
+
     @pytest.mark.parametrize("kind", SURROGATE_KINDS)
     def test_every_kind_round_trips(self, tmp_path, kind):
         meta = smooth_sine_meta(n_rows=60, seed=4)

@@ -240,21 +240,111 @@ class TestLockstepGrowth:
         assert all(same_bits(tree_arrays(whole, t), tree_arrays(blocks, t)) for t in range(12))
 
 
+def tree_order_sum(trees, X):
+    """Each row's mean leaf value, every row walked through every tree, summed in tree order."""
+    acc = np.zeros(X.shape[0])
+    for t in range(trees.roots.size):
+        acc += trees.value[trees.leaves(X, np.full(X.shape[0], t), np.arange(X.shape[0]))]
+    return acc / trees.roots.size
+
+
+def first_row_of_each_cell(trees, X):
+    """The first row of each class of rows that take the same side of every threshold."""
+    inner = trees.feature >= 0
+    sides = X[:, trees.feature[inner]] <= trees.threshold[inner]
+    if not sides.shape[1]:
+        return np.arange(min(X.shape[0], 1))
+    return np.sort(np.unique(sides, axis=0, return_index=True)[1])
+
+
+class WalkedRows:
+    """Patches `_Trees.leaves` to record the rows and the pair counts of every walk."""
+
+    def __init__(self, monkeypatch):
+        self.rows, self.sizes = [], []
+        leaves = _Trees.leaves
+
+        def recording(trees, X, tree_ids, rows):
+            self.rows.extend(rows.tolist())
+            self.sizes.append(rows.size)
+            return leaves(trees, X, tree_ids, rows)
+        monkeypatch.setattr(_Trees, "leaves", recording)
+
+
+@st.composite
+def fitted_trees_and_queries(draw):
+    """A forest or a single cart_reg tree and queries on and around its thresholds.
+
+    Query values come from the training values, the thresholds and their
+    floating-point neighbours, ±0.0, ±inf and NaN; rows repeat, and a
+    constant training column is one that no tree splits on.
+    """
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        X = np.hstack([X, np.full((n, 1), 1.0)])
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        trees = _fit_regressor("forest_reg", X, y, seed=draw(st.integers(0, 99)),
+                               n_trees=draw(st.integers(1, 8)))
+    else:
+        trees = _fit_regressor("cart_reg", X, y)
+    pools = []
+    for c in range(X.shape[1]):
+        cuts = trees.threshold[trees.feature == c]
+        pools.append(np.unique(np.concatenate([
+            X[:, c], cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            [-0.0, 0.0, -np.inf, np.inf, np.nan]])).tolist())
+    distinct = [[draw(st.sampled_from(pool)) for pool in pools]
+                for _ in range(draw(st.integers(0, 12)))]
+    repeats = draw(st.lists(st.integers(0, max(len(distinct) - 1, 0)),
+                            max_size=20 if distinct else 0))
+    queries = np.array(distinct + [distinct[r] for r in repeats]).reshape(-1, X.shape[1])
+    return trees, queries
+
+
 class TestForestPredict:
+    @settings(max_examples=300, deadline=None)
+    @given(case=fitted_trees_and_queries())
+    def test_cells_predict_as_every_row_walked(self, case):
+        trees, queries = case
+        expected = tree_order_sum(trees, queries)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            walked = WalkedRows(monkeypatch)
+            got = trees.predict(queries)
+        assert got.tobytes() == expected.tobytes()
+        # each walk holds every tree of its rows, and only the first row of each cell walks
+        assert sorted(set(walked.rows)) == first_row_of_each_cell(trees, queries).tolist()
+        assert len(walked.rows) == trees.roots.size * len(set(walked.rows))
+
+    def test_a_batch_that_varies_one_column_walks_one_row_per_interval(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, y = rng.uniform(0, 1, size=(80, 4)), rng.normal(size=80)
+        forest = _fit_regressor("forest_reg", X, y, seed=2, n_trees=20)
+        queries = np.tile(X[0], (10_000, 1))
+        queries[:, 2] = rng.uniform(-0.5, 1.5, size=10_000)
+        cuts = np.unique(forest.threshold[forest.feature == 2]).size
+        assert 0 < cuts < 100
+        walked = WalkedRows(monkeypatch)
+        forest.predict(queries)
+        assert sum(walked.sizes) <= 20 * (cuts + 1)
+
     def test_mean_is_the_tree_order_sum_of_leaf_values(self, monkeypatch):
         rng = np.random.default_rng(11)
         X, y = rng.normal(size=(60, 3)), rng.normal(size=60)
         forest = _fit_regressor("forest_reg", X, y, seed=4, n_trees=9)
-        queries, rows = rng.normal(size=(37, 3)), np.arange(37)
-        acc = np.zeros(37)
-        for t in range(9):
-            acc += forest.value[forest.leaves(queries, np.full(37, t), rows)]
+        queries = rng.normal(size=(37, 3))
+        queries = np.vstack([queries, queries[::3]])  # 37 cells of 50 rows
+        expected = tree_order_sum(forest, queries)
         monkeypatch.setattr(_tree, "_PREDICT_CHUNK", 20)  # two rows per walk
-        assert forest.predict(queries).tobytes() == (acc / 9).tobytes()
+        walked = WalkedRows(monkeypatch)
+        assert forest.predict(queries).tobytes() == expected.tobytes()
+        assert walked.sizes == [2 * 9] * 18 + [9]
         # the sum starts from 0.0, so leaves of -0.0 predict +0.0, for one tree too
         for roots in ([0], [0, 1]):
             stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], roots)
-            assert stumps.predict(queries).tobytes() == np.zeros(37).tobytes()
+            assert stumps.predict(queries).tobytes() == np.zeros(50).tobytes()
 
     def test_seeded_forest_is_pinned(self):
         # digests of the trees and predictions of the recursive per-tree builder;
@@ -276,3 +366,34 @@ class TestForestPredict:
         assert float(predicted[0]).hex() == "0x1.7778aaa0c8530p-1"
         assert hashlib.sha256(predicted.astype("<f8").tobytes()).hexdigest() == (
             "c79e9aa7c1986c63e4819c7ec3a6ea8a9e837a7d4b3a3790d3f4a3812830814b")
+
+
+class TestNodeArrays:
+    """Node arrays that are not trees in preorder raise instead of walking forever."""
+
+    # two trees of three nodes: a split at the root and two leaves
+    GOOD = dict(feature=[0, -1, -1, 0, -1, -1], threshold=[0.5, 0, 0, 0.2, 0, 0],
+                left=[1, -1, -1, 4, -1, -1], right=[2, -1, -1, 5, -1, -1],
+                value=[0.0, 1.0, 2.0, 0.0, 3.0, 4.0], roots=[0, 3])
+
+    def test_preorder_trees_are_accepted(self):
+        trees = _Trees(**self.GOOD)
+        assert trees.predict(np.array([[0.1], [0.3], [0.9]])).tolist() == [2.0, 2.5, 3.0]
+
+    @pytest.mark.parametrize("change", [
+        {"right": [2, -1, -1, 1, -1, -1]},  # backwards
+        {"right": [3, -1, -1, 5, -1, -1]},  # into the next tree
+        {"right": [2, -1, -1, 6, -1, -1]},  # past the end
+        {"threshold": [0.5, 0, 0, np.nan, 0, 0]},
+        {"value": [0.0, 1.0, 2.0, 0.0, 3.0]},
+        {"feature": [[0, -1, -1, 0, -1, -1]]},
+        {"roots": [3, 0]}, {"roots": [0, 0]}, {"roots": [0, 6]}, {"roots": [-1, 3]},
+        {"roots": []}, {"roots": [[0, 3]]},
+    ])
+    def test_arrays_that_are_not_preorder_trees_raise(self, change):
+        with pytest.raises(ValueError):
+            _Trees(**{**self.GOOD, **change})
+
+    def test_a_node_that_is_its_own_child_raises_before_any_walk(self):
+        with pytest.raises(ValueError):
+            _Trees([0], [0.5], [0], [0], [1.0], [0])
