@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -214,20 +214,6 @@ class Configuration:
             for p in space.params
         )
 
-    def copy(self) -> "Configuration":
-        return Configuration(dict(self.values), dict(self.active))
-
-
-def resolve_active(space: SearchSpace, values: dict[str, Any]) -> dict[str, bool]:
-    """Activity flags implied by the parent values in `values`."""
-    flags = {}
-    for p in space.params:
-        if p.condition is None:
-            flags[p.name] = True
-        else:
-            flags[p.name] = p.condition.activates(values.get(p.condition.parent))
-    return flags
-
 
 def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configuration:
     """Build a full Configuration from (possibly partial) explicit values.
@@ -235,10 +221,9 @@ def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configurat
     Missing or inactive parameters are filled with their placeholder; flags
     are derived from the conditions.
     """
-    full = {}
-    for p in space.params:
-        full[p.name] = values.get(p.name, p.placeholder())
-    flags = resolve_active(space, full)
+    full = {p.name: values.get(p.name, p.placeholder()) for p in space.params}
+    flags = {p.name: p.condition is None or p.condition.activates(full[p.condition.parent])
+             for p in space.params}
     return Configuration(full, flags)
 
 
@@ -365,15 +350,9 @@ def effective_values(
     return out
 
 
-# -- sampling ------------------------------------------------------------------
+# -- candidates ----------------------------------------------------------------
 
-def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> list:
-    if pdef.kind == "numeric":
-        return rng.uniform(pdef.lower, pdef.upper, size).tolist()
-    if pdef.kind == "integer":
-        return rng.integers(int(pdef.lower), int(pdef.upper) + 1, size).tolist()
-    levels = pdef.levels
-    return [levels[i] for i in rng.integers(0, len(levels), size).tolist()]
+GRID_CAP = 2_000_000
 
 
 def _check_fixed(space: SearchSpace, fixed: dict[str, Any]) -> None:
@@ -383,6 +362,53 @@ def _check_fixed(space: SearchSpace, fixed: dict[str, Any]) -> None:
             raise SpaceError(f"fixed value for unknown parameter {name!r}")
         if not space[name].contains(value):
             raise SpaceError(f"fixed value {value!r} of {name!r} is outside its bounds or levels")
+
+
+def _build_configurations(space: SearchSpace, fixed: dict[str, Any], rows: int,
+                          column: Callable[[ParamDef, int], np.ndarray]) -> list[Configuration]:
+    """Configurations built column by column in draw order, from `rows` rows.
+
+    A pinned parameter's column holds its fixed value. A free one takes
+    ``column(p, m)``, k * m values for the m rows whose parent activates it:
+    each such row becomes k rows in place, taking the values in order. The
+    other rows keep its placeholder, flagged inactive.
+    """
+    columns: dict[str, np.ndarray] = {}
+    flags: dict[str, np.ndarray] = {}
+    for p in space.draw_order():
+        on = (np.ones(rows, dtype=bool) if p.condition is None else np.fromiter(
+            (v in p.condition.values for v in columns[p.condition.parent]), bool, rows))
+        values = None
+        if p.name not in fixed:
+            m = int(on.sum())
+            values = column(p, m)
+            if m and len(values) > m:
+                cells = np.repeat(np.arange(rows), np.where(on, len(values) // m, 1))
+                columns = {name: col[cells] for name, col in columns.items()}
+                flags = {name: flag[cells] for name, flag in flags.items()}
+                on, rows = on[cells], len(cells)
+        if values is None or len(values) < rows:
+            col = np.empty(rows, dtype=object)
+            col.fill(fixed.get(p.name, p.placeholder()))  # fill keeps the value's own type
+            if values is not None:
+                col[on] = values
+            values = col
+        columns[p.name] = values
+        flags[p.name] = on
+    names = list(columns)
+    return [
+        Configuration(dict(zip(names, values)), dict(zip(names, active)))
+        for values, active in zip(zip(*(c.tolist() for c in columns.values())),
+                                  zip(*(f.tolist() for f in flags.values())))
+    ]
+
+
+def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> np.ndarray:
+    if pdef.kind == "numeric":
+        return rng.uniform(pdef.lower, pdef.upper, size).astype(object)
+    if pdef.kind == "integer":
+        return rng.integers(int(pdef.lower), int(pdef.upper) + 1, size).astype(object)
+    return np.array(pdef.levels, dtype=object)[rng.integers(0, len(pdef.levels), size)]
 
 
 def sample_configurations(
@@ -405,29 +431,7 @@ def sample_configurations(
     """
     fixed = fixed or {}
     _check_fixed(space, fixed)
-    order = space.draw_order()
-    columns: dict[str, list] = {}
-    flags: list[list[bool]] = []
-    for p in order:
-        if p.condition is None:
-            is_on = [True] * n
-        else:
-            activating = p.condition.values
-            is_on = [v in activating for v in columns[p.condition.parent]]
-        flags.append(is_on)
-        if p.name in fixed:
-            columns[p.name] = [fixed[p.name]] * n
-        elif p.condition is None:
-            columns[p.name] = _draw_column(p, rng, n)
-        else:
-            drawn = iter(_draw_column(p, rng, sum(is_on)))
-            placeholder = p.placeholder()
-            columns[p.name] = [next(drawn) if on else placeholder for on in is_on]
-    names = [p.name for p in order]
-    return [
-        Configuration(dict(zip(names, values)), dict(zip(names, active)))
-        for values, active in zip(zip(*columns.values()), zip(*flags))
-    ]
+    return _build_configurations(space, fixed, n, lambda p, m: _draw_column(p, rng, m))
 
 
 def sample_configuration(
@@ -460,6 +464,31 @@ def grid_values(pdef: ParamDef, levels: int) -> list:
         pts = np.linspace(lo, hi, levels)
         return sorted({_round_half_up(v) for v in pts})
     return [float(v) for v in np.linspace(pdef.lower, pdef.upper, levels)]
+
+
+def grid_configurations(space: SearchSpace, levels: int,
+                        fixed: Optional[dict[str, Any]] = None) -> list[Configuration]:
+    """Every grid cell, lexicographic in draw order (parents before children).
+
+    Free parameters take their `grid_values`, and a conditional parameter
+    only under the parent values that activate it: elsewhere it carries its
+    fixed or placeholder value flagged inactive. Pinned parameters take
+    their one fixed value, checked as in `sample_configurations`. A grid of
+    more than GRID_CAP cells raises ValueError before any cell is built.
+    """
+    fixed = fixed or {}
+    _check_fixed(space, fixed)
+    support = {p.name: np.array(grid_values(p, levels), dtype=object)
+               for p in space.params if p.name not in fixed}
+    cells = 1
+    for root in (p for p in space.params if not p.is_conditional):
+        children = [c for c in space.params if c.condition and c.condition.parent == root.name
+                    and c.name in support]
+        cells *= sum(math.prod(len(support[c.name]) for c in children if c.condition.activates(v))
+                     for v in ([fixed[root.name]] if root.name in fixed else support[root.name]))
+    if cells > GRID_CAP:
+        raise ValueError(f"grid of {cells} cells exceeds {GRID_CAP}; lower the levels")
+    return _build_configurations(space, fixed, 1, lambda p, m: np.tile(support[p.name], m))
 
 
 # -- validation ----------------------------------------------------------------

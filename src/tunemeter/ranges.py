@@ -3,9 +3,9 @@
 For every numeric or integer parameter the tuning range is the interval
 between two quantiles (type-7, linear interpolation of order statistics) of
 the per-dataset best values on the untransformed scale. Categorical
-parameters keep the levels that won at least once, or on at least a given
-fraction of datasets. Conditional parameters contribute only datasets where
-they were active in the best configuration.
+parameters keep the levels that won at least once and on at least a given
+fraction (default 0) of the datasets. Conditional parameters contribute
+only datasets where they were active in the best configuration.
 """
 
 from __future__ import annotations
@@ -22,20 +22,17 @@ DS_FREE_TRAFOS = ("identity", "pow2")
 
 @dataclass(frozen=True)
 class RangeSpec:
-    """Quantile levels and the categorical inclusion rule."""
+    """Quantile levels, and the share of datasets a kept level must have won."""
 
     p1: float = 0.05
     p2: float = 0.95
-    categorical_rule: str = "at_least_once"
-    min_fraction: float = 0.1
+    min_fraction: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.p1 < self.p2 <= 1.0):
             raise ValueError("need 0 <= p1 < p2 <= 1")
-        if self.categorical_rule not in ("at_least_once", "min_fraction"):
-            raise ValueError(f"unknown categorical rule {self.categorical_rule!r}")
-        if not 0.0 < self.min_fraction <= 1.0:
-            raise ValueError("min_fraction must lie in (0, 1]")
+        if not 0.0 <= self.min_fraction <= 1.0:
+            raise ValueError("min_fraction must lie in [0, 1]")
 
 
 @dataclass
@@ -81,14 +78,7 @@ def compute_ranges(
                     pr.q_low_trafo = float(apply_trafo(p, pr.q_low))
                     pr.q_high_trafo = float(apply_trafo(p, pr.q_high))
             else:
-                counts: dict[str, int] = {}
-                for v in values:
-                    counts[v] = counts.get(v, 0) + 1
-                if spec.categorical_rule == "at_least_once":
-                    included = [lv for lv in p.levels if counts.get(lv, 0) >= 1]
-                else:
-                    thr = spec.min_fraction * len(values)
-                    included = [lv for lv in p.levels if counts.get(lv, 0) >= thr]
-                pr.included_levels = included
+                thr = max(1, spec.min_fraction * len(values))
+                pr.included_levels = [lv for lv in p.levels if values.count(lv) >= thr]
         per_param[p.name] = pr
     return TuningSpaceResult(spec=spec, per_param=per_param)

@@ -20,6 +20,10 @@ little. The nearest neighbors regressor standardizes its columns and
 finds neighbors with the toy bot's `_Standardizer` and `_nearest`;
 selection CV splits rows with the bot's `stratified_folds`.
 
+A `SurrogateModel` is a `tunability` predictor: a search encodes its
+candidates once with the `ConfigEncoder` its surrogates share, and each
+surrogate scores that matrix with `predict_encoded`.
+
 The surrogate cache stores a regressor's arrays as `.npz` beside a header
 and rebuilds the regressor from them without unpickling.
 """
@@ -228,10 +232,7 @@ class SurrogateModel:
     regressor: object
 
     def predict(self, config: Configuration) -> float:
-        return float(self.predict_many([config])[0])
-
-    def predict_many(self, configs: Sequence[Configuration]) -> np.ndarray:
-        return self.predict_encoded(self.encoder.encode_configs(configs))
+        return float(self.predict_encoded(self.encoder.encode_configs([config]))[0])
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         return self.regressor.predict(X)
@@ -377,7 +378,8 @@ def fit_all_surrogates(
 
     A cache file is an `.npz` of the regressor's arrays beside its kind,
     dataset, measure and cache format; it is read without unpickling, and
-    the encoder is rebuilt from `meta.space`. Meta-data that fails
+    the encoder is rebuilt from `meta.space`; a file that does not fit it
+    raises ValueError naming the file. Meta-data that fails
     `MetaDataset.validate` raises MetaFormatError first.
     """
     meta.validate()
@@ -389,7 +391,7 @@ def fit_all_surrogates(
             key = _cache_key(meta.algorithm, ds.id, measure, kind, seed, params, matrix)
             path = Path(cache_dir) / f"{key}.npz"
             if path.exists():
-                reg = _load_cached(path, kind, ds.id, measure)
+                reg = _load_cached(path, kind, ds.id, measure, len(matrix.columns))
                 out[ds.id] = SurrogateModel(kind=kind, dataset_id=ds.id, measure=measure,
                                             encoder=matrix.encoder, regressor=reg)
                 continue
@@ -411,8 +413,9 @@ def _cache_header(kind: str, dataset_id: str, measure: str) -> dict[str, np.ndar
             "measure": np.array(measure), "format": np.array(_CACHE_FORMAT)}
 
 
-def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
-    """The regressor stored at `path`, refused unless it is the requested surrogate."""
+def _load_cached(path: Path, kind: str, dataset_id: str, measure: str, columns: int):
+    """The regressor stored at `path`, refused unless it is the requested surrogate
+    and its trees split only on the encoder's `columns` columns."""
     refused = ValueError(f"cache file {path} does not hold the {kind} surrogate "
                          f"for dataset {dataset_id!r} and measure {measure!r}")
     arrays = {}
@@ -428,9 +431,12 @@ def _load_cached(path: Path, kind: str, dataset_id: str, measure: str):
            for name, value in header.items()):
         raise refused
     try:
-        return _REGRESSORS[kind](**arrays)
+        reg = _REGRESSORS[kind](**arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise refused from exc
+    if isinstance(reg, _Trees) and np.any(reg.feature >= columns):
+        raise refused
+    return reg
 
 
 def _cache_key(algorithm, dataset_id, measure, kind, seed, params, matrix) -> str:

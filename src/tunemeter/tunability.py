@@ -7,8 +7,13 @@ gains, and a cross-validation protocol over datasets. Optimization is
 black-box: either exhaustive grid enumeration or seeded uniform random
 search on the untransformed scale.
 
-A predictor is anything with ``predict_many(configs) -> float array``;
-fitted surrogates qualify, and so do plain lookup tables in tests.
+A predictor has an ``encoder`` (a `surrogate.ConfigEncoder`) and
+``predict_encoded(X) -> float array`` over encoded rows; fitted surrogates
+qualify, and so do plain lookup tables in tests. A search builds its
+candidates with `hyperspace.grid_configurations` or
+`sample_configurations`, encodes its distinct candidates once with the
+encoder its predictors share (equal by value), and has every predictor
+score that one matrix; reference configurations take the same path.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ from ._rng import _parallel_map, derive_rng
 from .hyperspace import (
     Configuration,
     SearchSpace,
-    _check_fixed,
-    grid_values,
-    resolve_active,
+    grid_configurations,
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
     sample_configurations,
 )
@@ -35,7 +38,6 @@ from .metrics import RiskTransform, SummarySpec, aggregate_all, summarize_column
 logger = logging.getLogger(__name__)
 
 TIE_EPS = 1e-12
-GRID_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,12 @@ class OptimizerSpec:
 
     random mode draws `budget` uniform candidates (`pair_budget` for
     two-parameter analyses); grid mode enumerates the full cross product
-    with `levels` points per non-degenerate parameter.
+    with `levels` points per non-degenerate parameter. Grid cells come in
+    lexicographic order over the parameters in draw order (unconditional
+    ones first, the first varying slowest), and a conditional parameter
+    takes its grid values only under the parent values that activate it.
+    A grid of more than `hyperspace.GRID_CAP` cells raises ValueError
+    before any cell is built.
     """
 
     mode: str = "random"
@@ -79,60 +86,26 @@ class MinimizeResult:
 def _as_predictor_list(predictors) -> tuple[list[str], list]:
     """Dataset ids and predictors of a {dataset id: predictor} dict or one predictor."""
     if isinstance(predictors, dict):
+        if not predictors:
+            raise ValueError("need at least one dataset predictor")
         return list(predictors.keys()), list(predictors.values())
     return [getattr(predictors, "dataset_id", "?")], [predictors]
 
 
-def _grid_configs(
-    space: SearchSpace, levels: int, fixed: Optional[dict] = None
-) -> list[Configuration]:
-    """Every grid cell, lexicographic in draw order (parents before children).
+def _risks(predictors, configs: list[Configuration]) -> np.ndarray:
+    """(datasets x configs) predicted risks of a {dataset id: predictor} dict or one predictor.
 
-    Fixed parameters contribute a single value, which must lie in their
-    bounds or levels (SpaceError otherwise); conditional parameters whose
-    parent value deactivates them contribute their fixed or placeholder
-    value flagged inactive.
+    The configurations are encoded once, with the encoder every predictor
+    holds; one whose encoder differs by value raises ValueError naming it.
     """
-    fixed = fixed or {}
-    _check_fixed(space, fixed)
-    order = space.draw_order()
-    out: list[Configuration] = []
-    values: dict = {}
-
-    def rec(i: int):
-        if i == len(order):
-            if len(out) >= GRID_CAP:
-                raise ValueError(f"grid exceeds {GRID_CAP} cells; lower the levels")
-            out.append(Configuration(dict(values), resolve_active(space, values)))
-            return
-        p = order[i]
-        if p.condition is not None and not p.condition.activates(values[p.condition.parent]):
-            values[p.name] = fixed.get(p.name, p.placeholder())
-            rec(i + 1)
-        elif p.name in fixed:
-            values[p.name] = fixed[p.name]
-            rec(i + 1)
-        else:
-            for v in grid_values(p, levels):
-                values[p.name] = v
-                rec(i + 1)
-
-    rec(0)
-    return out
-
-
-def _risk_matrix(
-    preds: list, space: SearchSpace, configs: list[Configuration]
-) -> tuple[list[Configuration], np.ndarray]:
-    """Distinct configurations in order of first appearance and their (m, U) predicted risks."""
-    index: dict[tuple, Configuration] = {}
-    for c in configs:
-        index.setdefault(c.key(space), c)
-    uniques = list(index.values())
-    U = np.empty((len(preds), len(uniques)))
-    for r, pred in enumerate(preds):
-        U[r] = np.asarray(pred.predict_many(uniques), dtype=float)
-    return uniques, U
+    ds_ids, preds = _as_predictor_list(predictors)
+    encoder = preds[0].encoder
+    for ds, pred in zip(ds_ids, preds):
+        if pred.encoder != encoder:
+            raise ValueError(f"the predictor of dataset {ds!r} encodes candidates differently "
+                             f"from that of dataset {ds_ids[0]!r}")
+    X = encoder.encode_configs(configs)
+    return np.vstack([np.asarray(pred.predict_encoded(X), dtype=float) for pred in preds])
 
 
 def minimize(
@@ -146,28 +119,34 @@ def minimize(
 ) -> MinimizeResult:
     """Best configuration agreeing with `fixed` under the aggregated risk.
 
-    Grid mode enumerates every cell; random mode draws the candidates
-    column by column with `sample_configurations`. Repeated candidates
-    (same `Configuration.key`) are predicted and scored once, in order of
-    first appearance. `objective` maps the (m datasets x U distinct
-    candidates) risk matrix to one value per column (default: mean over
-    datasets). Ties are broken by the first optimum in candidate order:
-    lexicographic grid order, or sample order for random search.
+    Grid mode enumerates every cell with `grid_configurations`; random
+    mode draws the candidates column by column with
+    `sample_configurations`. Repeated candidates (same `Configuration.key`)
+    are encoded, predicted and scored once, in order of first appearance;
+    predictors whose encoders differ by value raise ValueError. `objective`
+    maps the (m datasets x U distinct candidates) risk matrix to one value
+    per column (default: mean over datasets). Ties are broken by the first
+    optimum in candidate order: grid order (see `OptimizerSpec`), or sample
+    order for random search.
     ``tie_count`` counts the distinct configurations within 1e-12 of the
     optimum, and a tie is logged as a warning; ``n_evaluated`` counts all
     candidates, repeats included. A non-finite predicted risk raises
     ValueError naming the dataset and the candidate.
     """
-    ds_ids, preds = _as_predictor_list(predictors)
+    ds_ids, _ = _as_predictor_list(predictors)
     if optimizer.mode == "grid":
-        configs = _grid_configs(space, optimizer.levels, fixed)
+        configs = grid_configurations(space, optimizer.levels, fixed)
     else:
         n = budget if budget is not None else optimizer.budget
         rng = derive_rng(optimizer.seed, "opt", context)
         configs = sample_configurations(space, rng, n, fixed)
     if not configs:
         raise ValueError("empty candidate set")
-    uniques, risks = _risk_matrix(preds, space, configs)
+    index: dict[tuple, Configuration] = {}
+    for c in configs:
+        index.setdefault(c.key(space), c)
+    uniques = list(index.values())
+    risks = _risks(predictors, uniques)
     bad = np.argwhere(~np.isfinite(risks))
     if bad.size:
         r, j = bad[0]
@@ -180,7 +159,7 @@ def minimize(
     if ties > 1:
         logger.warning("search %r ends in a %d-way tie over %d candidates; "
                        "the first found wins", context, ties, len(configs))
-    return MinimizeResult(uniques[best].copy(), best_val, ties, len(configs))
+    return MinimizeResult(uniques[best], best_val, ties, len(configs))
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------
@@ -205,9 +184,7 @@ def compute_defaults(
     context: str = "defaults",
 ) -> DefaultsResult:
     """Optimal default configuration over all datasets (scaled, summarized)."""
-    if not predictors:
-        raise ValueError("need at least one dataset predictor")
-    ds_ids = list(predictors.keys())
+    ds_ids, _ = _as_predictor_list(predictors)
 
     def objective(risks: np.ndarray) -> np.ndarray:
         scaled = np.vstack(
@@ -217,8 +194,7 @@ def compute_defaults(
 
     res = minimize(predictors, space, optimizer, fixed=fixed,
                    objective=objective, context=context)
-    per_ds = {ds: float(pred.predict_many([res.config])[0])
-              for ds, pred in predictors.items()}
+    per_ds = dict(zip(ds_ids, _risks(predictors, [res.config])[:, 0].tolist()))
     return DefaultsResult(res.config, res.risk, per_ds, res.tie_count)
 
 
@@ -246,8 +222,8 @@ def tunability_algorithm(
     optima: dict[str, MinimizeResult],
     reference_label: str = "optimal",
 ) -> AlgorithmTunability:
-    per = {ds: float(pred.predict_many([reference])[0]) - optima[ds].risk
-           for ds, pred in predictors.items()}
+    risks = _risks(predictors, [reference])[:, 0].tolist()
+    per = {ds: risk - optima[ds].risk for ds, risk in zip(predictors, risks)}
     return AlgorithmTunability(reference_label, per, aggregate_all(per.values()))
 
 
@@ -280,7 +256,7 @@ def tunability_parameter(
     fixed = {name: reference.values[name] for name in space.names if name != param}
     res = minimize(predictor, space, optimizer, fixed=fixed,
                    context=f"param:{param}:{context}")
-    ref_risk = float(predictor.predict_many([reference])[0])
+    ref_risk = float(_risks(predictor, [reference])[0, 0])
     return ParamDatasetResult(
         best_value=res.config.values[param],
         d=ref_risk - res.risk,
@@ -318,7 +294,7 @@ def tunability_pair(
     if i1 == i2:
         raise ValueError("pair needs two distinct parameters")
     _require_active(reference, i1, i2)
-    ref_risk = float(predictor.predict_many([reference])[0])
+    ref_risk = float(_risks(predictor, [reference])[0, 0])
     fixed = {n: reference.values[n] for n in space.names if n not in (i1, i2)}
     joint = minimize(predictor, space, optimizer, fixed=fixed,
                      context=f"pair:{i1}:{i2}:{context}",
@@ -415,11 +391,8 @@ def cv_across_datasets(
         train = {ds: predictors[ds] for ds in ds_ids if fold_of[ds] != fold_idx}
         defaults = compute_defaults(train, space, scaling, g, optimizer,
                                     context=f"cv-fold:{fold_idx}")
-        out = {}
-        for ds in test_ids:
-            ref_risk = float(predictors[ds].predict_many([defaults.config])[0])
-            out[ds] = ref_risk - optima[ds].risk
-        return out
+        risks = _risks({ds: predictors[ds] for ds in test_ids}, [defaults.config])
+        return {ds: risk - optima[ds].risk for ds, risk in zip(test_ids, risks[:, 0].tolist())}
 
     per_dataset: dict[str, float] = {}
     for result in _parallel_map(run_fold, range(folds), workers):

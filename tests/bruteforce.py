@@ -69,3 +69,32 @@ def bf_pair_tunability(table, cells, ref, i1, i2):
     d = table[ref] - best
     gain = min(r1, r2) - best
     return key, d, gain
+
+
+def grid_cells(space, levels, fixed):
+    """Every grid cell as (values, active), by products rather than recursion.
+
+    The unconditional parameters run through itertools.product in
+    declaration order; under each of their combinations the conditional
+    parameters run through a second product, each over its grid when its
+    parent's value activates it and over its one fixed or placeholder value
+    otherwise. Pinned parameters take their one fixed value.
+    """
+    from tunemeter.hyperspace import grid_values
+
+    def support(p):
+        return [fixed[p.name]] if p.name in fixed else grid_values(p, levels)
+
+    roots = [p for p in space.params if p.condition is None]
+    children = [p for p in space.params if p.condition is not None]
+    cells = []
+    for root_values in itertools.product(*(support(p) for p in roots)):
+        values = dict(zip((p.name for p in roots), root_values))
+        on = [values[c.condition.parent] in c.condition.values for c in children]
+        active = {**{p.name: True for p in roots}, **{c.name: a for c, a in zip(children, on)}}
+        child_supports = [support(c) if a else [fixed.get(c.name, c.placeholder())]
+                          for c, a in zip(children, on)]
+        for child_values in itertools.product(*child_supports):
+            cells.append(({**values, **dict(zip((c.name for c in children), child_values))},
+                          active))
+    return cells

@@ -3,28 +3,33 @@ import pytest
 
 from tunemeter.hyperspace import DatasetInfo, make_configuration, parse_space
 from tunemeter.metadata import ExperimentRow, MetaDataset
+from tunemeter.surrogate import ConfigEncoder
 
 
 class TablePredictor:
-    """Risk lookup over a discrete space, keyed by configuration tuples."""
+    """Risk lookup over a discrete space, keyed by encoded configuration rows."""
 
     def __init__(self, space, table):
-        self.space = space
-        self.table = dict(table)
+        self.encoder = ConfigEncoder.build(space)
+        configs = [make_configuration(space, {name: v for name, v in zip(space.names, cell)
+                                              if v is not None}) for cell in table]
+        rows = self.encoder.encode_configs(configs)
+        self.table = {row.tobytes(): risk for row, risk in zip(rows, table.values())}
 
-    def predict_many(self, configs):
-        return np.array([self.table[c.key(self.space)] for c in configs])
+    def predict_encoded(self, X):
+        return np.array([self.table[row.tobytes()] for row in X])
 
 
 class FunctionPredictor:
     """Risk as a function of one numeric parameter."""
 
-    def __init__(self, fn, param="x"):
+    def __init__(self, space, fn, param="x"):
+        self.encoder = ConfigEncoder.build(space)
+        self.column = self.encoder.columns.index(param)
         self.fn = fn
-        self.param = param
 
-    def predict_many(self, configs):
-        return np.array([self.fn(c.values[self.param]) for c in configs], dtype=float)
+    def predict_encoded(self, X):
+        return np.array([self.fn(v) for v in X[:, self.column].tolist()], dtype=float)
 
 
 def integer_grid_space(sizes, algorithm="table"):

@@ -1,11 +1,15 @@
 import json
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import grid_cells
+from tunemeter import hyperspace
 from tunemeter.hyperspace import (
     BUNDLED_ALGORITHMS,
     Condition,
@@ -18,6 +22,7 @@ from tunemeter.hyperspace import (
     bundled_package_defaults,
     bundled_space,
     effective_values,
+    grid_configurations,
     grid_values,
     make_configuration,
     parse_space,
@@ -323,6 +328,86 @@ class TestGridValues:
     def test_discrete_grid(self):
         p = ParamDef("kern", "discrete", levels=("a", "b"))
         assert grid_values(p, 3) == ["a", "b"]
+
+
+@st.composite
+def small_spaces(draw):
+    """A parent with three levels, zero to two roots and one or two children, shuffled."""
+    params = [{"name": "parent", "kind": "discrete", "levels": ["a", "b", "c"]}]
+    for i in range(draw(st.integers(0, 2))):
+        params.append(_small_param(draw, f"r{i}", ["numeric", "integer", "logical"]))
+    for j in range(draw(st.integers(1, 2))):
+        child = _small_param(draw, f"c{j}", ["numeric", "integer", "discrete"])
+        values = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                               unique=True))
+        params.append({**child, "condition": {"parent": "parent", "values": values}})
+    return parse_space({"algorithm": "small", "params": draw(st.permutations(params))})
+
+
+def _small_param(draw, name, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "numeric":
+        lower = draw(st.floats(-3.0, 3.0))
+        return {"name": name, "kind": kind, "lower": lower,
+                "upper": lower + draw(st.sampled_from([0.0, 0.5, 4.0]))}
+    if kind == "integer":
+        lower = draw(st.integers(-3, 3))
+        return {"name": name, "kind": kind, "lower": lower,
+                "upper": lower + draw(st.integers(0, 5))}
+    if kind == "discrete":
+        return {"name": name, "kind": kind, "levels": ["x", "y"]}
+    return {"name": name, "kind": kind}
+
+
+def _grid_fixed(space, data):
+    """Random pins, numeric ones sometimes as ints, on roots and children alike."""
+    fixed = {}
+    for p in space.params:
+        if not data.draw(st.booleans()):
+            continue
+        if p.kind == "numeric":
+            value = data.draw(st.floats(p.lower, p.upper))
+            if data.draw(st.booleans()) and p.lower <= round(value) <= p.upper:
+                value = round(value)  # an int pin on a numeric parameter keeps its type
+            fixed[p.name] = value
+        elif p.kind == "integer":
+            fixed[p.name] = data.draw(st.integers(int(p.lower), int(p.upper)))
+        else:
+            fixed[p.name] = data.draw(st.sampled_from(p.levels))
+    return fixed
+
+
+def _typed(values):
+    return [(name, type(v), v) for name, v in values.items()]
+
+
+class TestGridConfigurations:
+    @settings(max_examples=150, deadline=None)
+    @given(space=small_spaces(), levels=st.integers(2, 4), data=st.data())
+    def test_rows_match_the_product_enumerator(self, space, levels, data):
+        fixed = _grid_fixed(space, data)
+        expected = grid_cells(space, levels, fixed)
+        with mock.patch.object(hyperspace, "GRID_CAP", len(expected)):
+            got = grid_configurations(space, levels, fixed)
+        assert [(_typed(c.values), c.active) for c in got] == [
+            (_typed(v), a) for v, a in expected]
+        assert all(validate_configuration(space, c) == [] for c in got)
+        with mock.patch.object(hyperspace, "GRID_CAP", len(expected) - 1):
+            with pytest.raises(ValueError, match="exceeds"):
+                grid_configurations(space, levels, fixed)
+
+    def test_fixed_inactive_child_keeps_its_value(self):
+        space = bundled_space("svm")
+        rows = grid_configurations(space, 3, {"kernel": "linear", "gamma": 1.5})
+        assert [c.values["cost"] for c in rows] == [-10.0, 0.0, 10.0]
+        assert all(c.values["gamma"] == 1.5 and not c.active["gamma"] for c in rows)
+        assert all(c.values["degree"] == 4 and not c.active["degree"] for c in rows)
+
+    def test_over_the_cap_raises_before_building(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 2000000"):
+            grid_configurations(bundled_space("xgboost"), 10)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestBundledDefaults:

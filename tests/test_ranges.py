@@ -45,11 +45,11 @@ class TestCategoricalInclusion:
         assert pr.q_low is None and pr.q_high is None
 
     def test_min_fraction_drops_rare_level(self):
-        pr = self.ranges(RangeSpec(categorical_rule="min_fraction", min_fraction=0.2))
+        pr = self.ranges(RangeSpec(min_fraction=0.2))
         assert pr.included_levels == ["a"]
 
     def test_min_fraction_threshold_inclusive(self):
-        pr = self.ranges(RangeSpec(categorical_rule="min_fraction", min_fraction=0.1))
+        pr = self.ranges(RangeSpec(min_fraction=0.1))
         assert pr.included_levels == ["a", "b"]
 
 

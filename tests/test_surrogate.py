@@ -74,7 +74,7 @@ class TestRegressors:
 
     def query(self, model, space, xs):
         configs = [make_configuration(space, {"x": float(x)}) for x in xs]
-        return model.predict_many(configs)
+        return model.predict_encoded(model.encoder.encode_configs(configs))
 
     def test_constant_predicts_mean(self):
         model, space = self.fit_on("constant", [0.1, 0.9], [0.2, 0.4])
@@ -102,7 +102,7 @@ class TestRegressors:
                 for c, t in zip(configs, rng.uniform(0, 1, 40))]
         model = fit_surrogate("knn_reg", encode(space, rows, "brier"))
         queries = [sample_configuration(space, rng) for _ in range(5)] + configs[:1]
-        assert model.predict_many(queries).tolist() == [
+        assert model.predict_encoded(model.encoder.encode_configs(queries)).tolist() == [
             0.4295235289453241, 0.2583979051621972, 0.5258534204827398,
             0.23792992652079287, 0.38621238083990284, 0.31518274714343164,
         ]
@@ -314,8 +314,8 @@ class TestCache:
         space = meta.space
         queries = [make_configuration(space, {"x": float(x)})
                    for x in np.linspace(0, 6, 50)]
-        assert np.array_equal(first["d0"].predict_many(queries),
-                              second["d0"].predict_many(queries))
+        X = first["d0"].encoder.encode_configs(queries)
+        assert np.array_equal(first["d0"].predict_encoded(X), second["d0"].predict_encoded(X))
 
     def test_cache_key_changes_with_data(self, tmp_path):
         fit_all_surrogates(smooth_sine_meta(n_rows=60, seed=4), "brier",
@@ -367,7 +367,9 @@ class TestCache:
         lambda a: {"threshold": np.where(a["feature"] >= 0, np.nan, a["threshold"])},
         lambda a: {"value": a["value"][:-1]},
         lambda a: {"roots": a["roots"][::-1]},
-    ], ids=["self_loop", "across_trees", "nan_threshold", "short_value", "roots_reversed"])
+        lambda a: {"feature": np.where(a["feature"] >= 0, 3, a["feature"])},
+    ], ids=["self_loop", "across_trees", "nan_threshold", "short_value", "roots_reversed",
+            "column_past_the_encoder"])
     def test_cache_file_that_is_not_trees_in_preorder_rejected(self, tmp_path, corrupt):
         meta = smooth_sine_meta(n_rows=60, seed=4)
         fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1, cache_dir=tmp_path,

@@ -10,9 +10,16 @@ from bruteforce import (
     bf_pair_tunability,
     bf_param_tunability,
 )
-from conftest import FunctionPredictor, TablePredictor, integer_grid_space, random_table
+from conftest import (
+    FunctionPredictor,
+    TablePredictor,
+    integer_grid_space,
+    meta_from_values,
+    random_table,
+)
 from tunemeter.hyperspace import SpaceError, bundled_space, make_configuration, parse_space
 from tunemeter.metrics import RiskTransform, SummarySpec
+from tunemeter.surrogate import ConfigEncoder, fit_all_surrogates
 from tunemeter.tunability import (
     OptimizerSpec,
     activating_assignment,
@@ -103,9 +110,10 @@ class TestMinimize:
         ({"minsplit": 2.5}, "2.5 of 'minsplit' is outside"),
     ])
     def test_fixed_values_outside_the_space_rejected(self, optimizer, fixed, match):
-        pred = FunctionPredictor(lambda cp: cp, param="cp")
+        space = bundled_space("rpart")
+        pred = FunctionPredictor(space, lambda cp: cp, param="cp")
         with pytest.raises(SpaceError, match=match):
-            minimize(pred, bundled_space("rpart"), optimizer, fixed=fixed)
+            minimize(pred, space, optimizer, fixed=fixed)
 
 
 class TestComputeDefaults:
@@ -116,16 +124,16 @@ class TestComputeDefaults:
         assert defaults.config.key(space) == opt.config.key(space)
         assert defaults.aggregated_risk == opt.risk
 
-    def quad_predictors(self):
+    def quad_predictors(self, space):
         return {
-            "a": FunctionPredictor(lambda x: (x - 0.2) ** 2),
-            "b": FunctionPredictor(lambda x: (x - 0.6) ** 2),
+            "a": FunctionPredictor(space, lambda x: (x - 0.2) ** 2),
+            "b": FunctionPredictor(space, lambda x: (x - 0.6) ** 2),
         }
 
     def test_two_quadratics_mean(self):
         space = parse_space({"params": [{"name": "x", "kind": "numeric",
                                          "lower": 0, "upper": 1}]})
-        defaults = compute_defaults(self.quad_predictors(), space, NO_SCALE, MEAN, GRID)
+        defaults = compute_defaults(self.quad_predictors(space), space, NO_SCALE, MEAN, GRID)
         assert defaults.config.values["x"] == pytest.approx(0.4, abs=1e-9)
         assert defaults.aggregated_risk == pytest.approx(0.04, abs=1e-9)
         assert defaults.per_dataset_risk["a"] == pytest.approx(0.04, abs=1e-9)
@@ -136,13 +144,54 @@ class TestComputeDefaults:
         space = parse_space({"params": [{"name": "x", "kind": "numeric",
                                          "lower": 0, "upper": 1}]})
         g = SummarySpec("quantile", 0.99)
-        defaults = compute_defaults(self.quad_predictors(), space, NO_SCALE, g, GRID)
+        defaults = compute_defaults(self.quad_predictors(space), space, NO_SCALE, g, GRID)
         assert defaults.config.values["x"] == pytest.approx(0.4, abs=1e-9)
 
     def test_empty_predictors_error(self):
         space = integer_grid_space([3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one"):
             compute_defaults({}, space, NO_SCALE, MEAN, GRID)
+        with pytest.raises(ValueError, match="at least one"):  # not a NaN optimum
+            minimize({}, space, GRID)
+        with pytest.raises(ValueError, match="at least one"):
+            tunability_algorithm({}, make_configuration(space, {}), {})
+
+
+class TestEncodeOnce:
+    def surrogates(self, space, datasets=3):
+        rng = np.random.default_rng(2)
+        records = {f"d{i}": [({"p0": int(a), "p1": int(b)}, {"brier": float(rng.uniform())})
+                             for a, b in rng.integers(0, 4, size=(25, 2))]
+                   for i in range(datasets)}
+        return fit_all_surrogates(meta_from_values(space, records), "brier", kind="cart_reg")
+
+    def test_compute_defaults_encodes_each_distinct_candidate_once(self, monkeypatch):
+        space = integer_grid_space([4, 5])
+        models = self.surrogates(space)
+        encode = ConfigEncoder.encode_configs
+        rows = []
+
+        def counting(self, configs):
+            rows.append(len(configs))
+            return encode(self, configs)
+
+        monkeypatch.setattr(ConfigEncoder, "encode_configs", counting)
+        res = compute_defaults(models, space, NO_SCALE, MEAN,
+                               OptimizerSpec(mode="random", budget=300, seed=0))
+        # 300 draws repeat each of the 20 cells; then the defaults' per-dataset risks
+        assert rows == [len(all_cells(space)), 1]
+        assert res.per_dataset_risk == {d: m.predict(res.config) for d, m in models.items()}
+
+    def test_predictor_with_another_encoder_raises_naming_its_dataset(self):
+        space = integer_grid_space([3])
+        rng = np.random.default_rng(0)
+        preds = {"a": TablePredictor(space, random_table(space, rng)),
+                 "b": TablePredictor(integer_grid_space([3]), random_table(space, rng))}
+        compute_defaults(preds, space, NO_SCALE, MEAN, GRID)  # equal by value is enough
+        other = integer_grid_space([3], algorithm="other")
+        preds["c"] = TablePredictor(other, random_table(other, rng))
+        with pytest.raises(ValueError, match="dataset 'c'"):
+            compute_defaults(preds, space, NO_SCALE, MEAN, GRID)
 
 
 class TestDatasetOptimum:
@@ -231,14 +280,14 @@ class TestParameterTunability:
         space = bundled_space("rpart")
         ref = make_configuration(space, {"cp": 0.01, "maxdepth": 30, "minbucket": 7,
                                          "minsplit": 200})
-        pred = FunctionPredictor(lambda cp: cp, param="cp")
+        pred = FunctionPredictor(space, lambda cp: cp, param="cp")
         with pytest.raises(SpaceError, match="200 of 'minsplit'"):
             tunability_parameter("cp", ref, pred, space, GRID)
 
     def test_inactive_parameter_routed_to_conditional(self):
         space = bundled_space("svm")
         ref = make_configuration(space, {"kernel": "radial", "cost": 0.0, "gamma": -2.0})
-        pred = FunctionPredictor(lambda v: 0.0, param="cost")
+        pred = FunctionPredictor(space, lambda v: 0.0, param="cost")
         with pytest.raises(ValueError, match="conditional_reference"):
             tunability_parameter("degree", ref, pred, space,
                                  OptimizerSpec(mode="grid", levels=3))
@@ -337,17 +386,12 @@ class TestConditionalReference:
         space = bundled_space("svm")
 
         class SvmPred:
-            def predict_many(self, configs):
-                out = []
-                for c in configs:
-                    r = 0.5
-                    if c.values["kernel"] == "radial":
-                        r -= 0.1
-                    r += 0.01 * abs(c.values["cost"])
-                    if c.active.get("degree", False):
-                        r -= 0.02 * c.values["degree"]
-                    out.append(r)
-                return np.array(out)
+            encoder = ConfigEncoder.build(space)
+
+            def predict_encoded(self, X):
+                col = dict(zip(self.encoder.columns, X.T))
+                return (0.5 - 0.1 * col["kernel=radial"] + 0.01 * np.abs(col["cost"])
+                        - 0.02 * col["degree"] * col["degree__active"])
 
         return space, {"d": SvmPred()}
 
