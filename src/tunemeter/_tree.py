@@ -24,12 +24,24 @@ one tree or a forest a regressor.
 
 The split thresholds of each column cut the feature space into cells, and
 trees are constant on each cell: rows in one cell reach the same leaf in
-every tree. `_Trees.predict` therefore walks the first row of each distinct
+every tree. `_Trees.predict` therefore scores the first row of each distinct
 cell of a batch and gives its sum to the cell's other rows, which is
-bit-identical to walking them all. A random search draws many candidates
+bit-identical to scoring them all. A random search draws many candidates
 into few cells (a one-parameter slice falls into at most one cell per
-interval between that column's thresholds), so most rows are never walked.
-The thresholds are derived from the node arrays, not stored with them.
+interval between that column's thresholds), so most rows are never scored.
+
+A row is scored without a walk, by leaf bitmasks (QuickScorer: Lucchese et
+al., "QuickScorer: a Fast Algorithm to Rank Documents with Additive
+Ensembles of Regression Trees", SIGIR 2015). In strict preorder a tree's
+leaves come left to right, and the leaf a row reaches is the leftmost one
+outside the left subtrees of the nodes where it goes right. Each inner node
+has a mask with the bits of its left subtree's leaves cleared. For each
+interval between a column's thresholds, the masks of that column's nodes
+whose threshold lies below the interval are ANDed in advance, one table row
+per interval; so a row costs one lookup and one AND per split column, and
+the lowest bit left standing is its leaf. Trees of more than 64 leaves take
+several 64-bit words. The thresholds and the tables are derived from the
+node arrays, not stored with them.
 """
 
 from __future__ import annotations
@@ -40,17 +52,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 _GROW_CHUNK = 1 << 14  # elements of one padded (nodes, features, rows) search block
-_PREDICT_CHUNK = 1 << 13  # (tree, row) pairs walked at once
+_PREDICT_CHUNK = 1 << 13  # (tree, row) pairs scored at once
+_ALL = np.uint64(2 ** 64 - 1)
+_LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 
 
 class _Trees:
     """Array-coded trees: concatenated node arrays and one root per tree.
 
-    The arrays must code trees in preorder: equal lengths, roots that
-    strictly increase and lie in range, the children of each inner node
-    after it and before the next tree's root, and no NaN threshold at an
-    inner node. So every walk ends within its tree's nodes, and arrays read
-    from outside (a cache file) raise ValueError rather than loop.
+    The arrays must code trees in strict preorder: equal lengths, roots that
+    start at node 0, strictly increase and lie in range, the children of
+    each inner node after it and before the next tree's root, its left child
+    the next node and its right child the first node after the left
+    subtree, and no NaN threshold at an inner node. So every walk ends
+    within its tree's nodes, a tree's leaves come in left-to-right order,
+    and arrays read from outside (a cache file) raise ValueError rather than
+    loop or score the wrong leaf.
     """
 
     def __init__(self, feature, threshold, left, right, value, roots):
@@ -66,8 +83,8 @@ class _Trees:
         if len(nodes) != 1 or any(getattr(self, name).shape != nodes
                                   for name in ("threshold", "left", "right", "value")):
             raise ValueError("node arrays must be flat and of one length")
-        if self.roots[0] < 0 or self.roots[-1] >= nodes[0] or np.any(np.diff(self.roots) <= 0):
-            raise ValueError("roots must strictly increase and index the nodes")
+        if self.roots[0] != 0 or self.roots[-1] >= nodes[0] or np.any(np.diff(self.roots) <= 0):
+            raise ValueError("roots must start at node 0, strictly increase and index the nodes")
         inner = np.flatnonzero(self.feature >= 0)
         # the end of each inner node's tree: the next tree's root, or the node count
         end = np.append(self.roots[1:], nodes[0])[np.searchsorted(self.roots, inner,
@@ -75,6 +92,21 @@ class _Trees:
         for child in (self.left[inner], self.right[inner]):
             if np.any((child <= inner) | (child >= end)):
                 raise ValueError("children must follow their node within its tree")
+        # count[i]: inner nodes less leaves before node i. In preorder the subtree
+        # from node a ends at the first node after it whose count is count[a] - 1,
+        # so the left subtree of an inner node v, from v + 1, ends at the first
+        # node after v whose count is count[v]
+        step = np.where(self.feature >= 0, 1, -1)
+        count = np.cumsum(step) - step
+        by_count = np.argsort(count, kind="stable")
+        after = np.empty_like(by_count)  # the next node in count order
+        after[by_count[:-1]] = by_count[1:]
+        after[by_count[-1]] = -1
+        right = self.right[inner]
+        if (np.any(self.left[inner] != inner + 1) or np.any(right != after[inner])
+                or np.any(count[right] != count[inner])):
+            raise ValueError("an inner node's children must be the next node and the node "
+                             "after its left subtree")
         if np.any(np.isnan(self.threshold[inner])):
             raise ValueError("inner nodes need thresholds that are not NaN")
 
@@ -83,17 +115,60 @@ class _Trees:
                 for name in ("feature", "threshold", "left", "right", "value", "roots")}
 
     @functools.cached_property
-    def _cuts(self) -> list[tuple[int, np.ndarray]]:
-        """(column, its sorted distinct thresholds) for each column some node splits on."""
-        inner = self.feature >= 0
-        pairs = np.unique(np.column_stack([self.feature[inner], self.threshold[inner]]), axis=0)
-        columns, starts = np.unique(pairs[:, 0], return_index=True)
-        return list(zip(columns.astype(int).tolist(), np.split(pairs[:, 1], starts[1:])))
+    def _leaf_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leaves in node order (each tree's left to right) and each tree's first one."""
+        leaves = np.flatnonzero(self.feature < 0)
+        return leaves, np.searchsorted(leaves, self.roots)
+
+    @functools.cached_property
+    def _cuts(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(column, its cuts, its mask table) for each column some node splits on.
+
+        A column's cuts are its sorted distinct thresholds. Bit i % 64 of word
+        i // 64 stands for a tree's leaf i; an inner node's mask has every bit
+        set but those of the leaves of its left subtree. Row j of a column's
+        table, of shape (cuts + 1, trees, words), holds per tree the AND of
+        the masks of the nodes on that column whose threshold is one of the
+        first j cuts: the nodes a value above exactly j cuts passes to the right.
+        """
+        inner = np.flatnonzero(self.feature >= 0)
+        if not inner.size:
+            return []
+        n_trees = self.roots.size
+        # inner nodes by (column, threshold), the nodes of one cut in node order, so in tree order
+        nodes = inner[np.lexsort((self.threshold[inner], self.feature[inner]))]
+        feature, threshold = self.feature[nodes], self.threshold[nodes]
+        new_cut = np.ones(nodes.size, dtype=bool)
+        new_cut[1:] = (feature[1:] != feature[:-1]) | (threshold[1:] != threshold[:-1])
+        tree = np.searchsorted(self.roots, nodes, side="right") - 1
+        leaves, first = self._leaf_nodes
+        before = np.searchsorted(leaves, np.arange(self.feature.size + 1))  # leaves before node i
+        words = -(-int(np.diff(np.append(first, leaves.size)).max()) // 64)
+        # the left subtree of node v holds the leaves from node v + 1 up to its right child
+        bit = 64 * np.arange(words)
+        lo = np.clip((before[nodes + 1] - first[tree])[:, None] - bit, 0, 64)
+        hi = np.clip((before[self.right[nodes]] - first[tree])[:, None] - bit, 0, 64)
+        masks = _LOW[lo] | ~_LOW[hi]
+        # the nodes of one tree at one cut are neighbours: AND each run of them
+        cut = np.cumsum(new_cut) - 1  # each node's cut, numbered over all columns
+        run = np.flatnonzero(new_cut | np.append(True, tree[1:] != tree[:-1]))
+        per_cut = np.full((cut[-1] + 1, n_trees, words), _ALL)
+        per_cut[cut[run], tree[run]] = np.bitwise_and.reduceat(masks, run, axis=0)
+        column, cuts = feature[new_cut], threshold[new_cut]
+        out, start = [], 0
+        for end in [*(np.flatnonzero(np.diff(column)) + 1).tolist(), cuts.size]:
+            table = np.empty((end - start + 1, n_trees, words), dtype=np.uint64)
+            table[0] = _ALL
+            np.bitwise_and.accumulate(per_cut[start:end], axis=0, out=table[1:])
+            out.append((int(column[start]), cuts[start:end], table))
+            start = end
+        return out
 
     def leaves(self, X: np.ndarray, trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The leaf that row `rows[i]` of `X` reaches in tree `trees[i]`, for every i.
 
         Only the (tree, row) pairs still at an inner node take another step.
+        The walk scores the bot's CART folds, each row in its own fold's tree.
         """
         flat, offset = X.ravel(), rows * X.shape[1]
         node = self.roots[trees]
@@ -105,6 +180,34 @@ class _Trees:
             active = active[self.feature[at] >= 0]
         return node
 
+    def exit_leaves(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The leaf each row `rows` of `X` reaches in each tree, as (trees, rows) nodes.
+
+        A row goes right at a node exactly when the node's threshold is below
+        its value, so ANDing the table row that the value's `searchsorted`
+        index (left side) picks on each column clears, per tree, the leaves
+        of every left subtree the row passes by; the lowest bit left standing
+        is the leaf it reaches (QuickScorer: Lucchese et al., SIGIR 2015).
+        NaN sorts above every cut and, like +inf, goes right everywhere, and
+        -0.0 compares as 0.0, as in a walk.
+        """
+        if not self._cuts:  # every tree is a single leaf
+            return np.repeat(self.roots[:, None], rows.size, axis=1)
+        masks = None
+        for column, cuts, table in self._cuts:
+            picked = table[np.searchsorted(cuts, X[rows, column])]  # (rows, trees, words)
+            masks = picked if masks is None else np.bitwise_and(masks, picked, out=masks)
+        # the lowest set bit of the first word that has one: the exit leaf's bit is
+        # never cleared, so some word has
+        leaf = None
+        for word in reversed(range(masks.shape[2])):
+            bits = masks[:, :, word].T  # (trees, rows)
+            low = bits & (~bits + np.uint64(1))  # the lowest set bit alone, a power of two
+            at = np.frexp(low.astype(float))[1] + (64 * word - 1)
+            leaf = at if leaf is None else np.where(low != 0, at, leaf)
+        leaves, first = self._leaf_nodes
+        return leaves[first[:, None] + leaf]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value, summed in tree order.
 
@@ -112,34 +215,30 @@ class _Trees:
         and the cuts of all columns cut the feature space into cells. Two rows
         in one cell take the same side of every threshold, so they reach the
         same leaf in every tree: only the first row of each distinct cell is
-        walked, and its sum is given to every row of the cell. A row's
-        interval on a column is the number of cuts below its value
-        (`searchsorted`, left side), since a row goes left at a node when its
-        value is at most the threshold; NaN sorts above every cut and, like
-        +inf, goes right everywhere, and -0.0 compares as 0.0. So the result
-        is bit-identical to walking every row.
+        scored (`exit_leaves`), and its sum is given to every row of the
+        cell. A row's interval on a column is the number of cuts below its
+        value (`searchsorted`, left side), since a row goes left at a node
+        when its value is at most the threshold. So the result is
+        bit-identical to walking every row through every tree.
 
         The sum starts from 0.0 and adds one tree at a time, as a loop over
         the trees would, so a leaf of -0.0 predicts +0.0. At most
-        `_PREDICT_CHUNK` (tree, row) pairs are walked at once.
+        `_PREDICT_CHUNK` (tree, row) pairs are scored at once.
         """
         X = np.ascontiguousarray(X, dtype=float)
         n_trees, n = self.roots.size, X.shape[0]
         # each row's cell, numbered densely after each column, and the first row of each cell
         cell = np.zeros(n, dtype=np.intp)
-        for column, cuts in self._cuts:
+        for column, cuts, _ in self._cuts:
             cell = np.unique(cell * (cuts.size + 1) + np.searchsorted(cuts, X[:, column]),
                              return_inverse=True)[1]
         first = np.unique(cell, return_index=True)[1]
         sums = np.empty(first.size)
         step = max(1, _PREDICT_CHUNK // n_trees)
         for start in range(0, first.size, step):
-            rows = first[start:start + step]
-            trees = np.repeat(np.arange(n_trees), rows.size)
-            vals = self.value[self.leaves(X, trees, np.tile(rows, n_trees))]
-            vals = vals.reshape(n_trees, rows.size)
+            vals = self.value[self.exit_leaves(X, first[start:start + step])]
             vals[0] += 0.0  # the sum's 0.0 start: a -0.0 leaf adds as +0.0
-            sums[start:start + rows.size] = np.cumsum(vals, axis=0)[-1]
+            sums[start:start + vals.shape[1]] = np.cumsum(vals, axis=0)[-1]
         return (sums / n_trees)[cell]
 
 

@@ -14,11 +14,12 @@ with per-split feature subsampling. A fitted regressor is its arrays:
 `type(reg)(**reg.arrays())` rebuilds it and `reg.predict(X)` maps encoded
 rows to risks, so only fitting (`_fit_regressor`) tells the kinds apart.
 Both tree kinds are `_tree._Trees` from `_tree.grow`, a forest's bootstraps
-grown in one lockstep call; their predict walks one row per cell of the
-grid cut by the trees' thresholds, so repeated and near candidates cost
-little. The nearest neighbors regressor standardizes its columns and
-finds neighbors with the toy bot's `_Standardizer` and `_nearest`;
-selection CV splits rows with the bot's `stratified_folds`.
+grown in one lockstep call; their predict scores one row per cell of the
+grid cut by the trees' thresholds, by ANDing precomputed leaf bitmasks
+instead of walking the trees, so repeated and near candidates cost little.
+The nearest neighbors regressor standardizes its columns and finds
+neighbors with the toy bot's `_Standardizer` and `_nearest`; selection CV
+splits rows with the bot's `stratified_folds`.
 
 A `SurrogateModel` is a `tunability` predictor: a search encodes its
 candidates once with the `ConfigEncoder` its surrogates share, and each

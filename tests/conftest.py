@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tunemeter.hyperspace import DatasetInfo, make_configuration, parse_space
 from tunemeter.metadata import ExperimentRow, MetaDataset

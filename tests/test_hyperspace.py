@@ -1,4 +1,3 @@
-import json
 import math
 import time
 from unittest import mock
@@ -13,10 +12,8 @@ from tunemeter import hyperspace
 from tunemeter.hyperspace import (
     BUNDLED_ALGORITHMS,
     Condition,
-    Configuration,
     DatasetInfo,
     ParamDef,
-    SearchSpace,
     SpaceError,
     apply_trafo,
     bundled_package_defaults,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from tunemeter import metadata
 from tunemeter.hyperspace import (
-    Configuration,
     DatasetInfo,
     bundled_space,
     make_configuration,

@@ -23,14 +23,16 @@ def test_console_scripts_resolve_to_callables():
         assert callable(obj), f"{name} = {target!r} is not callable"
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads, except on lines marked `# noqa: F401`."""
+def unused_imports(source: str, reexports: bool = False) -> list[str]:
+    """Names a module imports and never reads, except on lines marked `# noqa: F401`
+    and, with `reexports` (a package `__init__`), names imported from the package."""
     tree = ast.parse(source)
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        if isinstance(node, ast.ImportFrom) and (node.module == "__future__"
+                                                 or reexports and node.level > 0):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
@@ -44,13 +46,21 @@ def test_unused_import_detector():
     source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
               "from math import (\n    pi,\n    tau,  # noqa: F401\n)\nprint(os.path.sep)\n")
     assert unused_imports(source) == ["line 3: sys", "line 5: pi"]
+    package = "import os\nfrom .metrics import auc\nfrom . import surrogate\n"
+    assert unused_imports(package, reexports=True) == ["line 1: os"]
+    assert unused_imports(package) == ["line 1: os", "line 2: auc", "line 3: surrogate"]
 
 
-# the package __init__ is left out: its imports are the public API
-@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(name):
-    assert unused_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+    # the package __init__ imports the public API from its modules
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert unused_imports(source, reexports=name == "__init__.py") == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path(__file__).parent.glob("*.py")))
+def test_no_unused_imports_in_tests(name):
+    assert unused_imports((Path(__file__).parent / name).read_text(encoding="utf-8")) == []
 
 
 def defined_names(statement) -> set[str]:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import meta_from_values, numeric_space, smooth_sine_meta
+from conftest import numeric_space, smooth_sine_meta
 from tunemeter.hyperspace import (
     bundled_space,
     make_configuration,
@@ -14,8 +14,6 @@ from tunemeter.metadata import ExperimentRow, MetaFormatError, _nearest
 from tunemeter.metrics import r_squared
 from tunemeter.surrogate import (
     SURROGATE_KINDS,
-    ConfigEncoder,
-    EncodedMatrix,
     SurrogateCell,
     SurrogateEvalReport,
     encode,
@@ -368,8 +366,10 @@ class TestCache:
         lambda a: {"value": a["value"][:-1]},
         lambda a: {"roots": a["roots"][::-1]},
         lambda a: {"feature": np.where(a["feature"] >= 0, 3, a["feature"])},
+        # right subtrees stored before left ones: a walk still ends, leaf masks would not
+        lambda a: {"left": a["right"], "right": a["left"]},
     ], ids=["self_loop", "across_trees", "nan_threshold", "short_value", "roots_reversed",
-            "column_past_the_encoder"])
+            "column_past_the_encoder", "right_before_left"])
     def test_cache_file_that_is_not_trees_in_preorder_rejected(self, tmp_path, corrupt):
         meta = smooth_sine_meta(n_rows=60, seed=4)
         fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1, cache_dir=tmp_path,

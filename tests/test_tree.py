@@ -257,18 +257,45 @@ def first_row_of_each_cell(trees, X):
     return np.sort(np.unique(sides, axis=0, return_index=True)[1])
 
 
-class WalkedRows:
-    """Patches `_Trees.leaves` to record the rows and the pair counts of every walk."""
+class ScoredRows:
+    """Patches `_Trees.exit_leaves` to record the rows it scores and its (tree, row) pairs."""
 
     def __init__(self, monkeypatch):
         self.rows, self.sizes = [], []
-        leaves = _Trees.leaves
+        exit_leaves = _Trees.exit_leaves
 
-        def recording(trees, X, tree_ids, rows):
+        def recording(trees, X, rows):
             self.rows.extend(rows.tolist())
-            self.sizes.append(rows.size)
-            return leaves(trees, X, tree_ids, rows)
-        monkeypatch.setattr(_Trees, "leaves", recording)
+            self.sizes.append(trees.roots.size * rows.size)
+            return exit_leaves(trees, X, rows)
+        monkeypatch.setattr(_Trees, "exit_leaves", recording)
+
+
+def unique_cuts(trees):
+    """Each split column's sorted distinct thresholds, by `np.unique` over the pairs."""
+    inner = trees.feature >= 0
+    pairs = np.unique(np.column_stack([trees.feature[inner], trees.threshold[inner]]), axis=0)
+    columns, starts = np.unique(pairs[:, 0], return_index=True)
+    return list(zip(columns.astype(int).tolist(),
+                    [c.tolist() for c in np.split(pairs[:, 1], starts[1:])]))
+
+
+def walked_leaves(trees, X, rows):
+    """The leaf each of `rows` reaches in each tree, walked node by node, as (trees, rows)."""
+    n_trees = trees.roots.size
+    return trees.leaves(X, np.repeat(np.arange(n_trees), rows.size),
+                        np.tile(rows, n_trees)).reshape(n_trees, rows.size)
+
+
+def queries_around(trees, X):
+    """Every value of X's columns, each threshold and its neighbours, ±0.0, ±inf and NaN."""
+    pools = []
+    for c in range(X.shape[1]):
+        cuts = trees.threshold[trees.feature == c]
+        pools.append(np.unique(np.concatenate([
+            X[:, c], cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            [-0.0, 0.0, -np.inf, np.inf, np.nan]])))
+    return pools
 
 
 @st.composite
@@ -290,12 +317,7 @@ def fitted_trees_and_queries(draw):
                                n_trees=draw(st.integers(1, 8)))
     else:
         trees = _fit_regressor("cart_reg", X, y)
-    pools = []
-    for c in range(X.shape[1]):
-        cuts = trees.threshold[trees.feature == c]
-        pools.append(np.unique(np.concatenate([
-            X[:, c], cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
-            [-0.0, 0.0, -np.inf, np.inf, np.nan]])).tolist())
+    pools = [pool.tolist() for pool in queries_around(trees, X)]
     distinct = [[draw(st.sampled_from(pool)) for pool in pools]
                 for _ in range(draw(st.integers(0, 12)))]
     repeats = draw(st.lists(st.integers(0, max(len(distinct) - 1, 0)),
@@ -311,12 +333,15 @@ class TestForestPredict:
         trees, queries = case
         expected = tree_order_sum(trees, queries)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            walked = WalkedRows(monkeypatch)
+            scored = ScoredRows(monkeypatch)
             got = trees.predict(queries)
         assert got.tobytes() == expected.tobytes()
-        # each walk holds every tree of its rows, and only the first row of each cell walks
-        assert sorted(set(walked.rows)) == first_row_of_each_cell(trees, queries).tolist()
-        assert len(walked.rows) == trees.roots.size * len(set(walked.rows))
+        # only the first row of each cell is scored, once and in every tree
+        assert sorted(scored.rows) == first_row_of_each_cell(trees, queries).tolist()
+        assert sum(scored.sizes) == trees.roots.size * len(scored.rows)
+        rows = np.arange(queries.shape[0])
+        assert np.array_equal(trees.exit_leaves(queries, rows), walked_leaves(trees, queries, rows))
+        assert [(c, cuts.tolist()) for c, cuts, _ in trees._cuts] == unique_cuts(trees)
 
     def test_a_batch_that_varies_one_column_walks_one_row_per_interval(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -326,9 +351,9 @@ class TestForestPredict:
         queries[:, 2] = rng.uniform(-0.5, 1.5, size=10_000)
         cuts = np.unique(forest.threshold[forest.feature == 2]).size
         assert 0 < cuts < 100
-        walked = WalkedRows(monkeypatch)
+        scored = ScoredRows(monkeypatch)
         forest.predict(queries)
-        assert sum(walked.sizes) <= 20 * (cuts + 1)
+        assert scored.sizes and sum(scored.sizes) <= 20 * (cuts + 1)
 
     def test_mean_is_the_tree_order_sum_of_leaf_values(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -337,10 +362,10 @@ class TestForestPredict:
         queries = rng.normal(size=(37, 3))
         queries = np.vstack([queries, queries[::3]])  # 37 cells of 50 rows
         expected = tree_order_sum(forest, queries)
-        monkeypatch.setattr(_tree, "_PREDICT_CHUNK", 20)  # two rows per walk
-        walked = WalkedRows(monkeypatch)
+        monkeypatch.setattr(_tree, "_PREDICT_CHUNK", 20)  # two rows of 9 trees at once
+        scored = ScoredRows(monkeypatch)
         assert forest.predict(queries).tobytes() == expected.tobytes()
-        assert walked.sizes == [2 * 9] * 18 + [9]
+        assert scored.sizes == [2 * 9] * 18 + [9]
         # the sum starts from 0.0, so leaves of -0.0 predict +0.0, for one tree too
         for roots in ([0], [0, 1]):
             stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], roots)
@@ -368,6 +393,63 @@ class TestForestPredict:
             "c79e9aa7c1986c63e4819c7ec3a6ea8a9e837a7d4b3a3790d3f4a3812830814b")
 
 
+def leaf_count(trees):
+    bounds = [*trees.roots.tolist(), trees.feature.size]
+    return [int((trees.feature[a:b] < 0).sum()) for a, b in zip(bounds, bounds[1:])]
+
+
+def assert_predicts_as_walked(trees, X):
+    """Every combination of two columns' query values predicts as the tree-order sum."""
+    pools = queries_around(trees, X)
+    grid = np.array(np.meshgrid(*pools[:2], indexing="ij")).reshape(2, -1).T
+    queries = np.tile(X[:1], (grid.shape[0], 1))
+    queries[:, :2] = grid
+    rows = np.arange(queries.shape[0])
+    assert np.array_equal(trees.exit_leaves(queries, rows), walked_leaves(trees, queries, rows))
+    assert trees.predict(queries).tobytes() == tree_order_sum(trees, queries).tobytes()
+
+
+class TestManyLeaves:
+    """Trees of more than 64 leaves take several mask words per tree."""
+
+    @staticmethod
+    def rows(n, seed):
+        rng = np.random.default_rng(seed)
+        # distinct values on both sides of 0.0, the 2nd column coarse so it ties
+        X = np.column_stack([rng.permutation(np.linspace(-1.0, 1.0, n)),
+                             np.round(rng.uniform(-1.0, 1.0, n), 1)])
+        return X, rng.normal(size=n)
+
+    def test_a_tree_of_three_words(self):
+        X, y = self.rows(1000, 1)
+        tree = _fit_regressor("cart_reg", X, y)
+        assert leaf_count(tree)[0] >= 129
+        assert_predicts_as_walked(tree, X)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_a_tree_of_64_or_65_leaves(self, n):
+        X, y = self.rows(n, n)
+        tree = grow(X[:, :1], y, [np.arange(n)], min_leaf=1, max_depth=n)
+        assert leaf_count(tree) == [n]
+        assert_predicts_as_walked(tree, np.hstack([X[:, :1], X[:, :1]]))
+
+    def test_a_forest_whose_trees_straddle_64_leaves(self):
+        X, y = self.rows(140, 3)
+        sizes = [40, 63, 64, 65, 66, 129, 140]
+        forest = grow(X, y, [np.arange(k) for k in sizes], min_leaf=1, max_depth=140)
+        assert leaf_count(forest) == sizes
+        assert_predicts_as_walked(forest, X)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cuts_of_random_forests_are_the_unique_reference(seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(200, 5)), int(rng.integers(0, 3)))
+    forest = _fit_regressor("forest_reg", X, rng.normal(size=200), seed=seed, n_trees=30)
+    assert [(c, cuts.tolist()) for c, cuts, _ in forest._cuts] == unique_cuts(forest)
+    assert all(table.shape[:2] == (cuts.size + 1, 30) for _, cuts, table in forest._cuts)
+
+
 class TestNodeArrays:
     """Node arrays that are not trees in preorder raise instead of walking forever."""
 
@@ -389,6 +471,11 @@ class TestNodeArrays:
         {"feature": [[0, -1, -1, 0, -1, -1]]},
         {"roots": [3, 0]}, {"roots": [0, 0]}, {"roots": [0, 6]}, {"roots": [-1, 3]},
         {"roots": []}, {"roots": [[0, 3]]},
+        {"left": [2, -1, -1, 4, -1, -1], "right": [1, -1, -1, 5, -1, -1]},  # right leaf first
+        # a right child inside the left subtree: node 1 splits into nodes 2 and 4
+        dict(feature=[0, 0, -1, -1, -1], threshold=[0.5, 0.2, 0, 0, 0], left=[1, 2, -1, -1, -1],
+             right=[3, 4, -1, -1, -1], value=[0.0] * 5, roots=[0]),
+        {"roots": [1, 3]},  # a node before the first tree
     ])
     def test_arrays_that_are_not_preorder_trees_raise(self, change):
         with pytest.raises(ValueError):

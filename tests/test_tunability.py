@@ -5,7 +5,6 @@ import pytest
 
 from bruteforce import (
     all_cells,
-    bf_defaults,
     bf_min,
     bf_pair_tunability,
     bf_param_tunability,
