@@ -7,6 +7,13 @@ Values are kept on the sampling scale everywhere; transformation functions
 or a report is rendered. A parameter may be conditional on one unconditional
 parent taking a value from an activating set; inactive parameters carry a
 canonical placeholder value and an ``active=False`` flag.
+
+The candidates of one `sample_configurations` or `grid_configurations`
+call are rows of one column block: per parameter a value column and an
+activity column, plus each row's `Configuration.key`, built once for the
+block when a key is first asked for. A row holds only (block, row) until
+its ``values`` or ``active`` is first read; then it builds both dicts and
+drops the block, so a block lives only as long as its unread rows.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -196,23 +204,131 @@ class DatasetInfo:
             raise ValueError(f"dataset {self.id!r}: n and p must be >= 1")
 
 
-@dataclass
 class Configuration:
     """A point in a search space on the untransformed scale.
 
     ``values`` has an entry for every parameter of the owning space;
     inactive parameters keep their placeholder value with ``active`` False.
+    Both are plain dicts, mutable in place, and equality compares them.
+    A row of a candidate block builds both the first time either is read
+    (under a lock, so threads see the same dicts) and then drops the block.
+    Until then ``key`` in the block's own space is the block's key for the
+    row, which holds because no dict exists yet that could have changed.
     """
 
-    values: dict[str, Any]
-    active: dict[str, bool]
+    __slots__ = ("_values", "_active", "_block", "_row")
+
+    def __init__(self, values: dict[str, Any], active: dict[str, bool]):
+        self._values, self._active, self._block = values, active, None
+
+    @property
+    def values(self) -> dict[str, Any]:
+        if self._block is not None:
+            self._read()
+        return self._values
+
+    @property
+    def active(self) -> dict[str, bool]:
+        if self._block is not None:
+            self._read()
+        return self._active
+
+    def _read(self) -> "Configuration":
+        """Build the dicts of a block row and drop the block; return self."""
+        with _READ_LOCK:
+            block = self._block
+            if block is not None:
+                self._values, self._active = block.row(self._row)
+                self._block = None
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.active) == (other.values, other.active)
+
+    def __repr__(self) -> str:
+        return f"Configuration(values={self.values!r}, active={self.active!r})"
 
     def key(self, space: SearchSpace) -> tuple:
         """Hashable identity: active values in space order, None when inactive."""
+        block = self._block
+        if block is not None and block.space is space:
+            return block.keys()[self._row]
         return tuple(
             self.values[p.name] if self.active.get(p.name, False) else None
             for p in space.params
         )
+
+
+_READ_LOCK = threading.Lock()
+
+
+class _Block:
+    """The columns of one `_build_configurations` call, in draw order.
+
+    ``values[name]`` holds every row's value of a parameter: float or int
+    arrays for drawn numbers, object arrays for levels and pinned values, so
+    that ``item`` gives back the exact value a dict would hold. ``active``
+    holds the matching flags.
+    """
+
+    def __init__(self, space: SearchSpace, values: dict[str, np.ndarray],
+                 active: dict[str, np.ndarray]):
+        self.space, self.values, self.active = space, values, active
+        self._keys: Optional[list[tuple]] = None
+
+    def keys(self) -> list[tuple]:
+        """Every row's `Configuration.key` in the block's space, computed on first call."""
+        if self._keys is None:
+            columns = []
+            for p in self.space.params:
+                col, on = self.values[p.name], self.active[p.name]
+                if not on.all():
+                    col = col.astype(object)
+                    col[~on] = None
+                columns.append(col.tolist())
+            self._keys = list(zip(*columns))
+        return self._keys
+
+    def row(self, i: int) -> tuple[dict[str, Any], dict[str, bool]]:
+        return ({name: col.item(i) for name, col in self.values.items()},
+                {name: on.item(i) for name, on in self.active.items()})
+
+    def configurations(self, rows: int) -> list[Configuration]:
+        out = []
+        new = object.__new__
+        for i in range(rows):
+            c = new(Configuration)
+            c._block, c._row = self, i
+            out.append(c)
+        return out
+
+
+def _gather(configs: Sequence[Configuration],
+            params: Sequence[ParamDef]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(values, flags) arrays of each parameter over `configs`.
+
+    When every configuration is an unread row of one block, the arrays are
+    taken from its columns by row index. Otherwise they come from the dicts:
+    a missing flag reads as inactive, and an inactive cell holds the
+    parameter's placeholder.
+    """
+    n = len(configs)
+    block = configs[0]._block if n else None
+    if block is not None and all(c._block is block for c in configs):
+        rows = np.fromiter((c._row for c in configs), np.intp, n)
+        return [(block.values[p.name][rows], block.active[p.name][rows]) for p in params]
+    values = [c.values for c in configs]
+    active = [c.active for c in configs]
+    out = []
+    for p in params:
+        flags = [bool(a.get(p.name, False)) for a in active]
+        fill = p.placeholder()
+        col = np.empty(n, dtype=object)
+        col[:] = [v[p.name] if on else fill for v, on in zip(values, flags)]
+        out.append((col, np.array(flags, dtype=bool)))
+    return out
 
 
 def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configuration:
@@ -372,14 +488,20 @@ def _build_configurations(space: SearchSpace, fixed: dict[str, Any], rows: int,
     ``column(p, m)``, k * m values for the m rows whose parent activates it:
     each such row becomes k rows in place, taking the values in order. The
     other rows keep its placeholder, flagged inactive.
+    The columns become one `_Block`, and each returned Configuration holds
+    only (block, row) until its dicts are first read.
     """
     columns: dict[str, np.ndarray] = {}
     flags: dict[str, np.ndarray] = {}
     for p in space.draw_order():
-        on = (np.ones(rows, dtype=bool) if p.condition is None else np.fromiter(
-            (v in p.condition.values for v in columns[p.condition.parent]), bool, rows))
-        values = None
-        if p.name not in fixed:
+        on = np.ones(rows, dtype=bool)
+        if p.condition is not None:
+            parent = columns[p.condition.parent]
+            on = np.logical_or.reduce([parent == v for v in p.condition.values])
+        if p.name in fixed:
+            values = np.empty(rows, dtype=object)
+            values.fill(fixed[p.name])  # fill keeps the value's own type
+        else:
             m = int(on.sum())
             values = column(p, m)
             if m and len(values) > m:
@@ -387,27 +509,20 @@ def _build_configurations(space: SearchSpace, fixed: dict[str, Any], rows: int,
                 columns = {name: col[cells] for name, col in columns.items()}
                 flags = {name: flag[cells] for name, flag in flags.items()}
                 on, rows = on[cells], len(cells)
-        if values is None or len(values) < rows:
-            col = np.empty(rows, dtype=object)
-            col.fill(fixed.get(p.name, p.placeholder()))  # fill keeps the value's own type
-            if values is not None:
+            if len(values) < rows:
+                col = np.full(rows, p.placeholder(), dtype=values.dtype)
                 col[on] = values
-            values = col
+                values = col
         columns[p.name] = values
         flags[p.name] = on
-    names = list(columns)
-    return [
-        Configuration(dict(zip(names, values)), dict(zip(names, active)))
-        for values, active in zip(zip(*(c.tolist() for c in columns.values())),
-                                  zip(*(f.tolist() for f in flags.values())))
-    ]
+    return _Block(space, columns, flags).configurations(rows)
 
 
 def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> np.ndarray:
     if pdef.kind == "numeric":
-        return rng.uniform(pdef.lower, pdef.upper, size).astype(object)
+        return rng.uniform(pdef.lower, pdef.upper, size)
     if pdef.kind == "integer":
-        return rng.integers(int(pdef.lower), int(pdef.upper) + 1, size).astype(object)
+        return rng.integers(int(pdef.lower), int(pdef.upper) + 1, size)
     return np.array(pdef.levels, dtype=object)[rng.integers(0, len(pdef.levels), size)]
 
 
@@ -478,7 +593,8 @@ def grid_configurations(space: SearchSpace, levels: int,
     """
     fixed = fixed or {}
     _check_fixed(space, fixed)
-    support = {p.name: np.array(grid_values(p, levels), dtype=object)
+    support = {p.name: np.array(grid_values(p, levels),
+                                dtype=object if p.kind in ("discrete", "logical") else None)
                for p in space.params if p.name not in fixed}
     cells = 1
     for root in (p for p in space.params if not p.is_conditional):

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._rng import derive_rng
 from ._tree import _Trees, grow
-from .hyperspace import Configuration, SearchSpace
+from .hyperspace import Configuration, SearchSpace, _gather
 from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
@@ -77,28 +77,44 @@ class ConfigEncoder:
         return cls(space=space, columns=tuple(cols))
 
     def encode_configs(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """One encoded row per configuration, built a parameter column at a time.
+
+        Each parameter's values and flags are gathered in one pass: by row
+        index from the column block when every configuration is an unread
+        row of one block (a search's candidates), so those rows never build
+        their dicts, and from the dicts otherwise. A numeric cell is its value,
+        or the midpoint when inactive; a level cell is a one-hot over the
+        levels, or over the extra inactive column. An unconditional
+        parameter that is flagged inactive or has no flag, and an active
+        value that is not one of its parameter's levels, raise ValueError
+        naming the parameter.
+        """
         out = np.zeros((len(configs), len(self.columns)))
         col = 0
-        for p in self.space.params:
+        for p, (values, on) in zip(self.space.params, _gather(configs, self.space.params)):
+            if not p.is_conditional and not on.all():
+                raise ValueError(f"unconditional parameter {p.name!r} is inactive or has no "
+                                 f"flag in row {int(np.argmin(on))}")
             if p.kind in ("numeric", "integer"):
-                mid = p.placeholder()
-                out[:, col] = [
-                    float(c.values[p.name]) if c.active.get(p.name, False) else float(mid)
-                    for c in configs
-                ]
+                numbers = values.astype(float, copy=False)
+                out[:, col] = np.where(on, numbers, float(p.placeholder()))
                 col += 1
                 if p.is_conditional:
-                    out[:, col] = [1.0 if c.active.get(p.name, False) else 0.0 for c in configs]
+                    out[:, col] = on
                     col += 1
-            else:
-                index = {level: i for i, level in enumerate(p.levels)}
-                n_levels = len(p.levels) + (1 if p.is_conditional else 0)
-                for r, c in enumerate(configs):
-                    if c.active.get(p.name, False):
-                        out[r, col + index[c.values[p.name]]] = 1.0
-                    else:
-                        out[r, col + len(p.levels)] = 1.0
-                col += n_levels
+                continue
+            hot = out[:, col:col + len(p.levels)]
+            for j, level in enumerate(p.levels):
+                hot[:, j] = on & (values == level)
+            stray = on & ~hot.any(axis=1)
+            if stray.any():
+                r = int(np.argmax(stray))
+                raise ValueError(f"parameter {p.name!r}: value {values[r]!r} in row {r} "
+                                 f"is not one of its levels")
+            col += len(p.levels)
+            if p.is_conditional:
+                out[:, col] = ~on
+                col += 1
         return out
 
 

@@ -11,9 +11,12 @@ A predictor has an ``encoder`` (a `surrogate.ConfigEncoder`) and
 ``predict_encoded(X) -> float array`` over encoded rows; fitted surrogates
 qualify, and so do plain lookup tables in tests. A search builds its
 candidates with `hyperspace.grid_configurations` or
-`sample_configurations`, encodes its distinct candidates once with the
-encoder its predictors share (equal by value), and has every predictor
-score that one matrix; reference configurations take the same path.
+`sample_configurations` as rows of one column block, encodes its distinct
+candidates once with the encoder its predictors share (equal by value),
+and has every predictor score that one matrix; reference configurations
+take the same path through their dicts. Only the winner of a search
+builds its dicts, and it drops the block before it is returned, so no
+block outlives its search.
 """
 
 from __future__ import annotations
@@ -121,13 +124,16 @@ def minimize(
 
     Grid mode enumerates every cell with `grid_configurations`; random
     mode draws the candidates column by column with
-    `sample_configurations`. Repeated candidates (same `Configuration.key`)
-    are encoded, predicted and scored once, in order of first appearance;
-    predictors whose encoders differ by value raise ValueError. `objective`
+    `sample_configurations`. Repeated candidates (same `Configuration.key`,
+    one call per candidate, looked up in the candidates' block) are
+    encoded, predicted and scored once, in order of first appearance; the
+    distinct ones are encoded straight from the block's columns. Predictors
+    whose encoders differ by value raise ValueError. `objective`
     maps the (m datasets x U distinct candidates) risk matrix to one value
     per column (default: mean over datasets). Ties are broken by the first
     optimum in candidate order: grid order (see `OptimizerSpec`), or sample
     order for random search.
+    The returned configuration holds plain dicts and no block.
     ``tie_count`` counts the distinct configurations within 1e-12 of the
     optimum, and a tie is logged as a warning; ``n_evaluated`` counts all
     candidates, repeats included. A non-finite predicted risk raises
@@ -159,7 +165,7 @@ def minimize(
     if ties > 1:
         logger.warning("search %r ends in a %d-way tie over %d candidates; "
                        "the first found wins", context, ties, len(configs))
-    return MinimizeResult(uniques[best], best_val, ties, len(configs))
+    return MinimizeResult(uniques[best]._read(), best_val, ties, len(configs))
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------

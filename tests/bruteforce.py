@@ -98,3 +98,35 @@ def grid_cells(space, levels, fixed):
             cells.append(({**values, **dict(zip((c.name for c in children), child_values))},
                           active))
     return cells
+
+
+def encode_rows(space, configs):
+    """Encoded rows built one configuration and one cell at a time from the dicts.
+
+    The column layout of `surrogate.ConfigEncoder.build(space)`: a numeric
+    parameter's value, or its midpoint when inactive, plus an activity column
+    when conditional; a one-hot over a level parameter's levels, plus an
+    inactive column when conditional.
+    """
+    import numpy as np
+
+    width = sum((1 if p.kind in ("numeric", "integer") else len(p.levels)) + p.is_conditional
+                for p in space.params)
+    out = np.zeros((len(configs), width))
+    for r, c in enumerate(configs):
+        col = 0
+        for p in space.params:
+            active = c.active.get(p.name, False)
+            if p.kind in ("numeric", "integer"):
+                out[r, col] = float(c.values[p.name]) if active else float(p.placeholder())
+                col += 1
+                if p.is_conditional:
+                    out[r, col] = 1.0 if active else 0.0
+                    col += 1
+            else:
+                if active:
+                    out[r, col + p.levels.index(c.values[p.name])] = 1.0
+                elif p.is_conditional:
+                    out[r, col + len(p.levels)] = 1.0
+                col += len(p.levels) + p.is_conditional
+    return out

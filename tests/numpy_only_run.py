@@ -2,8 +2,9 @@
 
 numpy is the package's only runtime dependency. This script makes any
 import of scipy fail, imports each module, scores one toy learner by
-cross-validated AUC and ranks two surrogate kinds by CV R^2 and Kendall's
-tau. Run it with only numpy installed: `python tests/numpy_only_run.py`
+cross-validated AUC, ranks two surrogate kinds by CV R^2 and Kendall's
+tau, and runs one random-mode and one grid-mode search on fitted
+surrogates. Run it with only numpy installed: `python tests/numpy_only_run.py`
 (add `src` to PYTHONPATH when the package is not installed).
 """
 
@@ -21,7 +22,9 @@ from tunemeter.metadata import (  # noqa: E402
     generate_bot_data,
     make_synthetic_dataset,
 )
-from tunemeter.surrogate import evaluate_surrogates  # noqa: E402
+from tunemeter.metrics import RiskTransform, SummarySpec  # noqa: E402
+from tunemeter.surrogate import evaluate_surrogates, fit_all_surrogates  # noqa: E402
+from tunemeter.tunability import OptimizerSpec, compute_defaults, dataset_optimum  # noqa: E402
 
 for module in pkgutil.iter_modules(tunemeter.__path__):
     importlib.import_module(f"tunemeter.{module.name}")
@@ -33,3 +36,9 @@ print("auc", cross_validate(learner, config, dataset, 4, ("auc",), seed=0)["auc"
 (meta,) = generate_bot_data([learner], [dataset], rows_per_pair=12, seed=0).values()
 report = evaluate_surrogates(meta, "auc", kinds=("knn_reg", "constant"), reps=1, folds=3)
 print("r2, tau", report.mean_by_kind())
+models = fit_all_surrogates(meta, "auc", kind="cart_reg")
+defaults = compute_defaults(models, meta.space, RiskTransform("none"), SummarySpec("mean"),
+                            OptimizerSpec(mode="random", budget=500))
+print("random-mode defaults", defaults.config.values, defaults.aggregated_risk)
+optimum = dataset_optimum(models[dataset.info.id], meta.space, OptimizerSpec(mode="grid"))
+print("grid-mode optimum", optimum.config.values, optimum.risk)

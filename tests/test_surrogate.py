@@ -6,6 +6,7 @@ import pytest
 
 from conftest import numeric_space, smooth_sine_meta
 from tunemeter.hyperspace import (
+    bundled_package_defaults,
     bundled_space,
     make_configuration,
     sample_configuration,
@@ -14,6 +15,7 @@ from tunemeter.metadata import ExperimentRow, MetaFormatError, _nearest
 from tunemeter.metrics import r_squared
 from tunemeter.surrogate import (
     SURROGATE_KINDS,
+    ConfigEncoder,
     SurrogateCell,
     SurrogateEvalReport,
     encode,
@@ -61,6 +63,41 @@ class TestEncoding:
     def test_empty_rows_error(self):
         with pytest.raises(ValueError, match="empty"):
             encode(bundled_space("kknn"), [], "auc")
+
+    @pytest.mark.parametrize("algorithm, name", [("rpart", "cp"), ("ranger", "replace")])
+    @pytest.mark.parametrize("flag", [False, None])
+    def test_unconditional_parameter_without_active_flag_rejected(self, algorithm, name, flag):
+        # the old encoder imputed rpart's cp as 0.5, and gave ranger's replace an
+        # all-zero one-hot while writing its "inactive" 1.0 into the next column
+        space = bundled_space(algorithm)
+        good = bundled_package_defaults(algorithm)
+        bad = make_configuration(space, {})
+        if flag is None:
+            del bad.active[name]
+        else:
+            bad.active[name] = flag
+        encoder = ConfigEncoder.build(space)
+        with pytest.raises(ValueError, match=f"unconditional parameter '{name}' .* row 1"):
+            encoder.encode_configs([good, bad])
+
+    @pytest.mark.parametrize("algorithm, name, value", [
+        ("svm", "kernel", "sigmoid"), ("ranger", "replace", True), ("svm", "kernel", None)])
+    def test_value_outside_the_levels_rejected(self, algorithm, name, value):
+        space = bundled_space(algorithm)
+        bad = bundled_package_defaults(algorithm)
+        bad.values[name] = value
+        with pytest.raises(ValueError, match=f"parameter '{name}': value {value!r} in row 0"):
+            ConfigEncoder.build(space).encode_configs([bad])
+
+    def test_inactive_cell_is_not_checked(self):
+        space = bundled_space("svm")
+        cfg = make_configuration(space, {"kernel": "linear"})
+        cfg.values["gamma"] = "not a number"  # inactive: encoded as the midpoint
+        del cfg.active["degree"]  # a conditional parameter without a flag is inactive
+        row = ConfigEncoder.build(space).encode_configs([cfg])[0]
+        cols = dict(zip(ConfigEncoder.build(space).columns, row))
+        assert (cols["gamma"], cols["gamma__active"]) == (0.0, 0.0)
+        assert (cols["degree"], cols["degree__active"]) == (4.0, 0.0)
 
 
 class TestRegressors:

@@ -1,10 +1,13 @@
 import logging
+import statistics
+import weakref
 
 import numpy as np
 import pytest
 
 from bruteforce import (
     all_cells,
+    bf_defaults,
     bf_min,
     bf_pair_tunability,
     bf_param_tunability,
@@ -16,7 +19,14 @@ from conftest import (
     meta_from_values,
     random_table,
 )
-from tunemeter.hyperspace import SpaceError, bundled_space, make_configuration, parse_space
+from tunemeter import hyperspace
+from tunemeter.hyperspace import (
+    Configuration,
+    SpaceError,
+    bundled_space,
+    make_configuration,
+    parse_space,
+)
 from tunemeter.metrics import RiskTransform, SummarySpec
 from tunemeter.surrogate import ConfigEncoder, fit_all_surrogates
 from tunemeter.tunability import (
@@ -155,6 +165,21 @@ class TestComputeDefaults:
         with pytest.raises(ValueError, match="at least one"):
             tunability_algorithm({}, make_configuration(space, {}), {})
 
+    @pytest.mark.parametrize("g, agg", [("mean", None), ("median", statistics.median)])
+    def test_matches_bruteforce_first_found(self, g, agg):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            space = integer_grid_space(rng.integers(1, 5, size=int(rng.integers(1, 4))))
+            cells = all_cells(space)
+            # every other trial draws risks from four values, so optima tie exactly
+            tables = [{cell: float(rng.integers(0, 4)) / 4 for cell in cells} if trial % 2
+                      else random_table(space, rng) for _ in range(int(rng.integers(1, 5)))]
+            preds = {f"d{i}": TablePredictor(space, t) for i, t in enumerate(tables)}
+            res = compute_defaults(preds, space, NO_SCALE, SummarySpec(g), GRID)
+            key, risk = bf_defaults(tables, cells, agg)
+            assert res.config.key(space) == key and res.aggregated_risk == risk
+            assert res.per_dataset_risk == {d: t[key] for d, t in zip(preds, tables)}
+
 
 class TestEncodeOnce:
     def surrogates(self, space, datasets=3):
@@ -191,6 +216,40 @@ class TestEncodeOnce:
         preds["c"] = TablePredictor(other, random_table(other, rng))
         with pytest.raises(ValueError, match="dataset 'c'"):
             compute_defaults(preds, space, NO_SCALE, MEAN, GRID)
+
+
+class TestNoBlockOutlivesItsSearch:
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        made = []
+        init = hyperspace._Block.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(hyperspace._Block, "__init__", recording)
+        return made
+
+    @pytest.mark.parametrize("optimizer", [OptimizerSpec(mode="grid", levels=5),
+                                           OptimizerSpec(mode="random", budget=400)])
+    def test_searches_release_their_blocks(self, blocks, optimizer):
+        space = bundled_space("svm")
+        pred = FunctionPredictor(space, lambda cost: (cost - 1.0) ** 2, param="cost")
+        reference = make_configuration(space, {"kernel": "radial", "cost": 0.0, "gamma": 0.0})
+        searches = [
+            lambda: minimize(pred, space, optimizer).config,
+            lambda: compute_defaults({"a": pred, "b": pred}, space, NO_SCALE, MEAN,
+                                     optimizer).config,
+            lambda: tunability_parameter("cost", reference, pred, space, optimizer),
+        ]
+        for search in searches:
+            made = len(blocks)
+            result = search()
+            assert len(blocks) == made + 1 and blocks[-1]() is None
+            if isinstance(result, Configuration):
+                assert result._block is None
+                assert type(result._values) is dict and type(result._active) is dict
 
 
 class TestDatasetOptimum:
