@@ -8,12 +8,12 @@ or a report is rendered. A parameter may be conditional on one unconditional
 parent taking a value from an activating set; inactive parameters carry a
 canonical placeholder value and an ``active=False`` flag.
 
-The candidates of one `sample_configurations` or `grid_configurations`
-call are rows of one column block: per parameter a value column and an
-activity column, plus each row's `Configuration.key`, built once for the
-block when a key is first asked for. A row holds only (block, row) until
-its ``values`` or ``active`` is first read; then it builds both dicts and
-drops the block, so a block lives only as long as its unread rows.
+Candidates are built column by column into one private block: per
+parameter a value column and an activity column. `sample_configurations`
+and `grid_configurations` turn each row into a plain `Configuration`;
+`tunability.minimize` keeps the block and takes its candidates as private
+rows holding only (block, row), whose keys come from one pass over the
+columns and whose encoding reads the columns by row index.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Optional, Sequence
@@ -120,6 +119,8 @@ class ParamDef:
         return self.levels[0]
 
     def contains(self, value: Any) -> bool:
+        if isinstance(value, bool) and self.kind in ("numeric", "integer"):
+            return False  # an int to Python, but not a number of a space
         if self.kind == "numeric":
             return isinstance(value, (int, float)) and self.lower <= value <= self.upper
         if self.kind == "integer":
@@ -204,102 +205,78 @@ class DatasetInfo:
             raise ValueError(f"dataset {self.id!r}: n and p must be >= 1")
 
 
+@dataclass(slots=True)
 class Configuration:
     """A point in a search space on the untransformed scale.
 
     ``values`` has an entry for every parameter of the owning space;
     inactive parameters keep their placeholder value with ``active`` False.
-    Both are plain dicts, mutable in place, and equality compares them.
-    A row of a candidate block builds both the first time either is read
-    (under a lock, so threads see the same dicts) and then drops the block.
-    Until then ``key`` in the block's own space is the block's key for the
-    row, which holds because no dict exists yet that could have changed.
     """
 
-    __slots__ = ("_values", "_active", "_block", "_row")
-
-    def __init__(self, values: dict[str, Any], active: dict[str, bool]):
-        self._values, self._active, self._block = values, active, None
-
-    @property
-    def values(self) -> dict[str, Any]:
-        if self._block is not None:
-            self._read()
-        return self._values
-
-    @property
-    def active(self) -> dict[str, bool]:
-        if self._block is not None:
-            self._read()
-        return self._active
-
-    def _read(self) -> "Configuration":
-        """Build the dicts of a block row and drop the block; return self."""
-        with _READ_LOCK:
-            block = self._block
-            if block is not None:
-                self._values, self._active = block.row(self._row)
-                self._block = None
-        return self
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.active) == (other.values, other.active)
-
-    def __repr__(self) -> str:
-        return f"Configuration(values={self.values!r}, active={self.active!r})"
+    values: dict[str, Any]
+    active: dict[str, bool]
 
     def key(self, space: SearchSpace) -> tuple:
         """Hashable identity: active values in space order, None when inactive."""
-        block = self._block
-        if block is not None and block.space is space:
-            return block.keys()[self._row]
+        return self._key(space)
+
+    def _key(self, space: SearchSpace) -> tuple:
         return tuple(
             self.values[p.name] if self.active.get(p.name, False) else None
             for p in space.params
         )
 
 
-_READ_LOCK = threading.Lock()
+class _Row(Configuration):
+    """Row ``_row`` of a candidate block: a search's candidate, a key with no dicts.
+
+    Made with ``object.__new__`` and two slot stores; since `Configuration`
+    has slots too, a row has no instance dict to set up.
+    """
+
+    __slots__ = ("_block", "_row")
+
+    def _key(self, space: SearchSpace) -> tuple:
+        return self._block.keys[self._row]
 
 
 class _Block:
-    """The columns of one `_build_configurations` call, in draw order.
+    """The columns of one `_build_block` call, in draw order.
 
     ``values[name]`` holds every row's value of a parameter: float or int
     arrays for drawn numbers, object arrays for levels and pinned values, so
-    that ``item`` gives back the exact value a dict would hold. ``active``
+    that ``item`` gives back the exact value a dict holds. ``active``
     holds the matching flags.
     """
 
     def __init__(self, space: SearchSpace, values: dict[str, np.ndarray],
-                 active: dict[str, np.ndarray]):
-        self.space, self.values, self.active = space, values, active
-        self._keys: Optional[list[tuple]] = None
+                 active: dict[str, np.ndarray], n: int):
+        self.space, self.values, self.active, self.n = space, values, active, n
 
+    @functools.cached_property
     def keys(self) -> list[tuple]:
-        """Every row's `Configuration.key` in the block's space, computed on first call."""
-        if self._keys is None:
-            columns = []
-            for p in self.space.params:
-                col, on = self.values[p.name], self.active[p.name]
-                if not on.all():
-                    col = col.astype(object)
-                    col[~on] = None
-                columns.append(col.tolist())
-            self._keys = list(zip(*columns))
-        return self._keys
+        """Every row's `Configuration.key` in the block's space, from one pass over the columns."""
+        columns = []
+        for p in self.space.params:
+            col, on = self.values[p.name], self.active[p.name]
+            if not on.all():
+                col = col.astype(object)
+                col[~on] = None
+            columns.append(col.tolist())
+        return list(zip(*columns))
 
-    def row(self, i: int) -> tuple[dict[str, Any], dict[str, bool]]:
-        return ({name: col.item(i) for name, col in self.values.items()},
-                {name: on.item(i) for name, on in self.active.items()})
+    def row(self, i: int) -> Configuration:
+        return Configuration({name: col.item(i) for name, col in self.values.items()},
+                             {name: on.item(i) for name, on in self.active.items()})
 
-    def configurations(self, rows: int) -> list[Configuration]:
+    def configurations(self) -> list[Configuration]:
+        return [self.row(i) for i in range(self.n)]
+
+    def rows(self) -> list[_Row]:
         out = []
         new = object.__new__
-        for i in range(rows):
-            c = new(Configuration)
+        for i in range(self.n):
+            c = new(_Row)
             c._block, c._row = self, i
             out.append(c)
         return out
@@ -309,14 +286,14 @@ def _gather(configs: Sequence[Configuration],
             params: Sequence[ParamDef]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(values, flags) arrays of each parameter over `configs`.
 
-    When every configuration is an unread row of one block, the arrays are
-    taken from its columns by row index. Otherwise they come from the dicts:
-    a missing flag reads as inactive, and an inactive cell holds the
+    Rows of one block (a search's distinct candidates) are taken from its
+    columns by row index. Plain configurations are read from their dicts: a
+    missing flag reads as inactive, and an inactive cell holds the
     parameter's placeholder.
     """
     n = len(configs)
-    block = configs[0]._block if n else None
-    if block is not None and all(c._block is block for c in configs):
+    if n and type(configs[0]) is _Row:
+        block = configs[0]._block
         rows = np.fromiter((c._row for c in configs), np.intp, n)
         return [(block.values[p.name][rows], block.active[p.name][rows]) for p in params]
     values = [c.values for c in configs]
@@ -335,8 +312,11 @@ def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configurat
     """Build a full Configuration from (possibly partial) explicit values.
 
     Missing or inactive parameters are filled with their placeholder; flags
-    are derived from the conditions.
+    are derived from the conditions. A name outside the space raises SpaceError.
     """
+    unknown = [name for name in values if name not in space]
+    if unknown:
+        raise SpaceError(f"not parameters of {space.algorithm!r}: {', '.join(map(repr, unknown))}")
     full = {p.name: values.get(p.name, p.placeholder()) for p in space.params}
     flags = {p.name: p.condition is None or p.condition.activates(full[p.condition.parent])
              for p in space.params}
@@ -480,16 +460,14 @@ def _check_fixed(space: SearchSpace, fixed: dict[str, Any]) -> None:
             raise SpaceError(f"fixed value {value!r} of {name!r} is outside its bounds or levels")
 
 
-def _build_configurations(space: SearchSpace, fixed: dict[str, Any], rows: int,
-                          column: Callable[[ParamDef, int], np.ndarray]) -> list[Configuration]:
-    """Configurations built column by column in draw order, from `rows` rows.
+def _build_block(space: SearchSpace, fixed: dict[str, Any], rows: int,
+                 column: Callable[[ParamDef, int], np.ndarray]) -> _Block:
+    """Candidates built column by column in draw order, from `rows` rows.
 
     A pinned parameter's column holds its fixed value. A free one takes
     ``column(p, m)``, k * m values for the m rows whose parent activates it:
     each such row becomes k rows in place, taking the values in order. The
     other rows keep its placeholder, flagged inactive.
-    The columns become one `_Block`, and each returned Configuration holds
-    only (block, row) until its dicts are first read.
     """
     columns: dict[str, np.ndarray] = {}
     flags: dict[str, np.ndarray] = {}
@@ -515,7 +493,7 @@ def _build_configurations(space: SearchSpace, fixed: dict[str, Any], rows: int,
                 values = col
         columns[p.name] = values
         flags[p.name] = on
-    return _Block(space, columns, flags).configurations(rows)
+    return _Block(space, columns, flags, rows)
 
 
 def _draw_column(pdef: ParamDef, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -544,9 +522,14 @@ def sample_configurations(
     placeholder value flagged inactive.
     Drawn values are plain Python ``float``/``int``/``str``.
     """
+    return _sample_block(space, rng, n, fixed).configurations()
+
+
+def _sample_block(space: SearchSpace, rng: np.random.Generator, n: int,
+                  fixed: Optional[dict[str, Any]]) -> _Block:
     fixed = fixed or {}
     _check_fixed(space, fixed)
-    return _build_configurations(space, fixed, n, lambda p, m: _draw_column(p, rng, m))
+    return _build_block(space, fixed, n, lambda p, m: _draw_column(p, rng, m))
 
 
 def sample_configuration(
@@ -591,6 +574,10 @@ def grid_configurations(space: SearchSpace, levels: int,
     their one fixed value, checked as in `sample_configurations`. A grid of
     more than GRID_CAP cells raises ValueError before any cell is built.
     """
+    return _grid_block(space, levels, fixed).configurations()
+
+
+def _grid_block(space: SearchSpace, levels: int, fixed: Optional[dict[str, Any]]) -> _Block:
     fixed = fixed or {}
     _check_fixed(space, fixed)
     support = {p.name: np.array(grid_values(p, levels),
@@ -604,7 +591,7 @@ def grid_configurations(space: SearchSpace, levels: int,
                      for v in ([fixed[root.name]] if root.name in fixed else support[root.name]))
     if cells > GRID_CAP:
         raise ValueError(f"grid of {cells} cells exceeds {GRID_CAP}; lower the levels")
-    return _build_configurations(space, fixed, 1, lambda p, m: np.tile(support[p.name], m))
+    return _build_block(space, fixed, 1, lambda p, m: np.tile(support[p.name], m))
 
 
 # -- validation ----------------------------------------------------------------

@@ -79,10 +79,10 @@ class ConfigEncoder:
     def encode_configs(self, configs: Sequence[Configuration]) -> np.ndarray:
         """One encoded row per configuration, built a parameter column at a time.
 
-        Each parameter's values and flags are gathered in one pass: by row
-        index from the column block when every configuration is an unread
-        row of one block (a search's candidates), so those rows never build
-        their dicts, and from the dicts otherwise. A numeric cell is its value,
+        Each parameter's values and flags are gathered in one pass: from the
+        dicts of plain configurations, or by row index from the columns when
+        `tunability.minimize` passes the rows of its candidate block, which
+        have no dicts. A numeric cell is its value,
         or the midpoint when inactive; a level cell is a one-hot over the
         levels, or over the extra inactive column. An unconditional
         parameter that is flagged inactive or has no flag, and an active

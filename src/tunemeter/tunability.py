@@ -9,14 +9,14 @@ search on the untransformed scale.
 
 A predictor has an ``encoder`` (a `surrogate.ConfigEncoder`) and
 ``predict_encoded(X) -> float array`` over encoded rows; fitted surrogates
-qualify, and so do plain lookup tables in tests. A search builds its
-candidates with `hyperspace.grid_configurations` or
-`sample_configurations` as rows of one column block, encodes its distinct
-candidates once with the encoder its predictors share (equal by value),
-and has every predictor score that one matrix; reference configurations
-take the same path through their dicts. Only the winner of a search
-builds its dicts, and it drops the block before it is returned, so no
-block outlives its search.
+qualify, and so do plain lookup tables in tests. A search takes its
+candidates as private rows of the column block that
+`hyperspace.grid_configurations` and `sample_configurations` build,
+encodes its distinct candidates once from the block's columns, with the
+encoder its predictors share (equal by value), and has every predictor
+score that one matrix; reference configurations take the same path
+through their dicts. The block and its rows stay inside the search: only
+the winner becomes a plain `Configuration`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from ._rng import _parallel_map, derive_rng
 from .hyperspace import (
     Configuration,
     SearchSpace,
-    grid_configurations,
+    _grid_block,
+    _sample_block,
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
-    sample_configurations,
 )
 from .metadata import stratified_folds
 from .metrics import RiskTransform, SummarySpec, aggregate_all, summarize_columns
@@ -122,50 +122,57 @@ def minimize(
 ) -> MinimizeResult:
     """Best configuration agreeing with `fixed` under the aggregated risk.
 
-    Grid mode enumerates every cell with `grid_configurations`; random
-    mode draws the candidates column by column with
-    `sample_configurations`. Repeated candidates (same `Configuration.key`,
-    one call per candidate, looked up in the candidates' block) are
-    encoded, predicted and scored once, in order of first appearance; the
-    distinct ones are encoded straight from the block's columns. Predictors
-    whose encoders differ by value raise ValueError. `objective`
-    maps the (m datasets x U distinct candidates) risk matrix to one value
-    per column (default: mean over datasets). Ties are broken by the first
-    optimum in candidate order: grid order (see `OptimizerSpec`), or sample
-    order for random search.
-    The returned configuration holds plain dicts and no block.
-    ``tie_count`` counts the distinct configurations within 1e-12 of the
-    optimum, and a tie is logged as a warning; ``n_evaluated`` counts all
-    candidates, repeats included. A non-finite predicted risk raises
-    ValueError naming the dataset and the candidate.
+    The candidates are the cells of `grid_configurations` in grid mode
+    and the draws of `sample_configurations` in random mode, kept as rows
+    of their block. Repeated candidates (same `Configuration.key`, one
+    call per row) are encoded, predicted and scored once, in order of first
+    appearance, straight from the block's columns. Predictors whose
+    encoders differ by value raise ValueError. `objective` maps the
+    (m datasets x U distinct candidates) risk matrix to U finite values
+    (default: mean over datasets); any other output raises ValueError
+    naming the search, and the candidate's key for a non-finite value.
+    Ties are broken by the first optimum in candidate order: grid order
+    (see `OptimizerSpec`), or sample order for random search. Only the
+    winner becomes a plain `Configuration`. ``tie_count`` counts the distinct
+    configurations within 1e-12 of the optimum, and a tie is logged as a
+    warning; ``n_evaluated`` counts all candidates, repeats included. A
+    non-finite predicted risk raises ValueError naming the dataset and the
+    candidate's key.
     """
     ds_ids, _ = _as_predictor_list(predictors)
     if optimizer.mode == "grid":
-        configs = grid_configurations(space, optimizer.levels, fixed)
+        block = _grid_block(space, optimizer.levels, fixed)
     else:
         n = budget if budget is not None else optimizer.budget
         rng = derive_rng(optimizer.seed, "opt", context)
-        configs = sample_configurations(space, rng, n, fixed)
-    if not configs:
+        block = _sample_block(space, rng, n, fixed)
+    if not block.n:
         raise ValueError("empty candidate set")
-    index: dict[tuple, Configuration] = {}
-    for c in configs:
+    index = {}
+    for c in block.rows():
         index.setdefault(c.key(space), c)
-    uniques = list(index.values())
+    keys, uniques = list(index), list(index.values())
     risks = _risks(predictors, uniques)
     bad = np.argwhere(~np.isfinite(risks))
     if bad.size:
         r, j = bad[0]
         raise ValueError(f"non-finite risk {risks[r, j]} on dataset {ds_ids[r]!r} "
-                         f"for candidate {uniques[j].key(space)} (search {context!r})")
-    obj = objective(risks) if objective is not None else risks.mean(axis=0)
+                         f"for candidate {keys[j]} (search {context!r})")
+    obj = risks.mean(axis=0) if objective is None else np.asarray(objective(risks), dtype=float)
+    if obj.shape != (len(uniques),):
+        raise ValueError(f"the objective of search {context!r} gives shape {obj.shape} for "
+                         f"{len(uniques)} distinct candidates; it must give one value each")
+    bad = np.flatnonzero(~np.isfinite(obj))
+    if bad.size:
+        raise ValueError(f"the objective of search {context!r} gives {obj[bad[0]]} "
+                         f"for candidate {keys[bad[0]]}")
     best = int(np.argmin(obj))
     best_val = float(obj[best])
     ties = int(np.sum(obj <= best_val + TIE_EPS))
     if ties > 1:
         logger.warning("search %r ends in a %d-way tie over %d candidates; "
-                       "the first found wins", context, ties, len(configs))
-    return MinimizeResult(uniques[best]._read(), best_val, ties, len(configs))
+                       "the first found wins", context, ties, block.n)
+    return MinimizeResult(block.row(uniques[best]._row), best_val, ties, block.n)
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import time
 from unittest import mock
 
@@ -302,6 +300,17 @@ class TestValidateConfiguration:
         violations = validate_configuration(space, cfg)
         assert any(v.startswith("gamma: must be inactive") for v in violations)
 
+    def test_bool_is_not_a_number(self):
+        for name, values in [("svm", {"cost": True}), ("kknn", {"k": True})]:
+            space = bundled_space(name)
+            (param,) = values
+            assert space[param].contains(1) and not space[param].contains(True)
+            cfg = make_configuration(space, {})
+            cfg.values.update(values)
+            assert validate_configuration(space, cfg) == [f"{param}: value True out of bounds"]
+            with pytest.raises(SpaceError, match=f"fixed value True of '{param}' is outside"):
+                sample_configurations(space, rng(0), 2, values)
+
     def test_foreign_parameter_flagged(self):
         space = bundled_space("kknn")
         cfg = make_configuration(space, {"k": 5})
@@ -411,28 +420,21 @@ class TestGridConfigurations:
         assert time.perf_counter() - t0 < 1.0
 
 
-def _dict_key(space, config):
-    return tuple(config.values[p.name] if config.active.get(p.name, False) else None
-                 for p in space.params)
-
-
 class TestBlockRows:
-    """Rows of a candidate block behave like configurations built from dicts."""
+    """A search's rows of a candidate block key and encode like the plain configurations."""
 
-    def check_rows(self, space, rows, fixed):
-        assert all(c._block is not None for c in rows)  # nothing has read them yet
+    def check_rows(self, space, block, plain, fixed):
+        rows = block.rows()
+        assert all(type(c) is hyperspace._Row for c in rows)
+        assert [block.row(i) for i in range(block.n)] == plain
+        assert [c.key(space) for c in rows] == [c.key(space) for c in plain]
         encoder = ConfigEncoder.build(space)
-        keys = [c.key(space) for c in rows]
-        X = encoder.encode_configs(rows)
-        picked = rows[::-2]  # a search encodes some of its rows, not in block order
-        X_picked = encoder.encode_configs(picked)
-        assert all(c._block is not None for c in rows)  # keys and encoding read no dicts
-        assert X.tobytes() == encode_rows(space, rows).tobytes()
-        assert X_picked.tobytes() == encode_rows(space, picked).tobytes()
-        assert keys == [_dict_key(space, c) for c in rows]
-        assert all(c._block is None for c in rows)
-        for c in rows:
-            assert c == Configuration(dict(c.values), dict(c.active))
+        for picked in (slice(None), slice(None, None, -2)):  # a search encodes some rows
+            X = encoder.encode_configs(rows[picked]).tobytes()
+            assert X == encoder.encode_configs(plain[picked]).tobytes()
+            assert X == encode_rows(space, plain[picked]).tobytes()
+        for c in plain:
+            assert type(c) is Configuration
             assert validate_configuration(space, c) == []
             assert list(c.values) == list(c.active) == [p.name for p in space.draw_order()]
             assert all(type(v) is bool for v in c.active.values())
@@ -449,9 +451,8 @@ class TestBlockRows:
     def test_sampled_rows(self, name, n, seed, data):
         space = bundled_space(name)
         fixed = _fixed_values(space, data)
-        rows = sample_configurations(space, rng(seed), n, fixed)
-        self.check_rows(space, rows, fixed)
-        assert rows == sample_configurations(space, rng(seed), n, fixed)  # unread vs read
+        block = hyperspace._sample_block(space, rng(seed), n, fixed)
+        self.check_rows(space, block, sample_configurations(space, rng(seed), n, fixed), fixed)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(BUNDLED_ALGORITHMS), data=st.data())
@@ -459,10 +460,10 @@ class TestBlockRows:
         space = bundled_space(name)
         levels = data.draw(st.integers(2, 3 if len(space.params) <= 4 else 2))
         fixed = _grid_fixed(space, data)
-        rows = grid_configurations(space, levels, fixed)
-        self.check_rows(space, rows, fixed)
+        plain = grid_configurations(space, levels, fixed)
+        self.check_rows(space, hyperspace._grid_block(space, levels, fixed), plain, fixed)
         expected = grid_cells(space, levels, fixed)
-        assert [(_typed(c.values), c.active) for c in rows] == [
+        assert [(_typed(c.values), c.active) for c in plain] == [
             (_typed(v), a) for v, a in expected]
 
     def test_mixed_and_empty_lists_encode_through_the_dicts(self):
@@ -470,24 +471,9 @@ class TestBlockRows:
         encoder = ConfigEncoder.build(space)
         a = sample_configurations(space, rng(1), 6)
         b = grid_configurations(space, 3)
-        b[1].values  # a read row among unread ones
         mixed = [a[0], b[0], b[1], a[5], make_configuration(space, {"kernel": "radial"}), b[2]]
-        expected = encode_rows(space, [Configuration(dict(c.values), dict(c.active))
-                                       for c in mixed])
-        assert encoder.encode_configs(mixed).tobytes() == expected.tobytes()
-        one_block = grid_configurations(space, 3)[:3]
-        one_block[1].values  # one read row sends the whole list through the dicts
-        assert encoder.encode_configs(one_block).tobytes() == expected[[1, 2, 5]].tobytes()
+        assert encoder.encode_configs(mixed).tobytes() == encode_rows(space, mixed).tobytes()
         assert encoder.encode_configs([]).shape == (0, len(encoder.columns))
-
-    def test_key_follows_a_read_row_that_changes(self):
-        space = bundled_space("svm")
-        row = sample_configurations(space, rng(3), 4, {"kernel": "radial"})[2]
-        before = row.key(space)
-        row.values["gamma"] = 1.25
-        assert row.key(space) == (before[0], before[1], 1.25, None)
-        row.active["degree"] = True
-        assert row.key(space)[3] == row.values["degree"]
 
     def test_key_in_another_space_reads_the_dicts(self):
         space = bundled_space("kknn")
@@ -495,29 +481,6 @@ class TestBlockRows:
         twin = parse_space(serialize_space(space))
         assert twin == space and twin is not space
         assert row.key(twin) == (row.values["k"],)
-
-    def test_threads_reading_one_row_get_the_same_dicts(self):
-        rows = sample_configurations(bundled_space("svm"), rng(5), 200)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        try:
-            for row in rows:
-                barrier = threading.Barrier(4)
-                seen = []
-
-                def read():
-                    barrier.wait(timeout=10)
-                    seen.append((row.values, row.active))
-
-                threads = [threading.Thread(target=read) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                assert not any(t.is_alive() for t in threads) and len(seen) == 4
-                assert all(v is row.values and a is row.active for v, a in seen)
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestBundledDefaults:
@@ -542,6 +505,11 @@ class TestBundledDefaults:
 
 
 class TestConfigurationHelpers:
+    def test_make_configuration_rejects_names_outside_the_space(self):
+        space = bundled_space("svm")
+        with pytest.raises(SpaceError, match="not parameters of 'svm': 'kernal'$"):
+            make_configuration(space, {"kernal": "linear", "cost": 3.0})
+
     def test_key_masks_inactive(self):
         space = bundled_space("svm")
         a = make_configuration(space, {"kernel": "linear", "cost": 1.0, "gamma": -2.0})

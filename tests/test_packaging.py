@@ -73,9 +73,9 @@ def defined_names(statement) -> set[str]:
     return set()
 
 
-def names_read(source: str) -> set[str]:
-    """Names a module reads as a name, an attribute or an imported name, except
-    where a top-level statement reads a name it defines itself."""
+def names_read(source: str, imports: bool = True) -> set[str]:
+    """Names a module reads as a name, an attribute or (with `imports`) an imported
+    name, except where a top-level statement reads a name it defines itself."""
     read = set()
     for statement in ast.parse(source).body:
         own = defined_names(statement)
@@ -84,7 +84,7 @@ def names_read(source: str) -> set[str]:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and imports:
                 name = node.name
             else:
                 continue
@@ -97,6 +97,29 @@ def test_orphan_detector():
     source = ("import os\nA = 1\n_B = A\n\ndef f(n):\n    return f(n - 1)\n\n"
               "class C:\n    pass\n\nos.C\n")
     assert names_read(source) == {"os", "A", "n", "C"}
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names a module imports (`__future__` aside) and never reads as a name or an
+    attribute (see `names_read`), whatever its `# noqa` comments say."""
+    read = names_read(source, imports=False)
+    return sorted({(alias.asname or alias.name).split(".")[0]
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                   for alias in node.names} - read)
+
+
+def test_unread_import_detector():
+    source = ("from __future__ import annotations\nimport os.path\nimport sys  # noqa: F401\n"
+              "from math import pi, tau\ntau = 2\n\ndef f():\n"
+              "    from json import dumps as d\n    return os.path.sep, pi\n")
+    assert unread_imports(source) == ["d", "sys", "tau"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path(__file__).parent.glob("*.py")))
+def test_every_name_a_test_module_imports_is_read(name):
+    assert unread_imports((Path(__file__).parent / name).read_text(encoding="utf-8")) == []
 
 
 def test_every_module_level_name_is_read():

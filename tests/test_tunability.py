@@ -1,4 +1,6 @@
+import dataclasses
 import logging
+import pickle
 import statistics
 import weakref
 
@@ -23,9 +25,13 @@ from tunemeter import hyperspace
 from tunemeter.hyperspace import (
     Configuration,
     SpaceError,
+    bundled_package_defaults,
     bundled_space,
+    grid_configurations,
     make_configuration,
     parse_space,
+    sample_configuration,
+    sample_configurations,
 )
 from tunemeter.metrics import RiskTransform, SummarySpec
 from tunemeter.surrogate import ConfigEncoder, fit_all_surrogates
@@ -43,6 +49,7 @@ from tunemeter.tunability import (
 )
 
 GRID = OptimizerSpec(mode="grid", levels=101, seed=0)
+SVM_GRID = OptimizerSpec(mode="grid", levels=5)  # 50 distinct svm candidates
 NO_SCALE = RiskTransform("none")
 MEAN = SummarySpec("mean")
 
@@ -110,6 +117,21 @@ class TestMinimize:
         with pytest.raises(ValueError, match=r"non-finite risk nan on dataset 'd7' "
                                              r"for candidate \(2,\)"):
             minimize({"d7": pred}, space, optimizer)
+
+    @pytest.mark.parametrize("objective, match", [
+        (lambda r: np.where(r[0] == 1.0, np.nan, r[0]),
+         r"search 'svm' gives nan for candidate \('linear', 0.0, None, None\)$"),
+        (lambda r: np.where(r[0] > 100.0, np.inf, r[0]),
+         r"search 'svm' gives inf for candidate \('linear', -10.0, None, None\)$"),
+        (lambda r: r[0, :2], r"search 'svm' gives shape \(2,\) for 50 distinct candidates"),
+        (lambda r: 1.0, r"search 'svm' gives shape \(\) for 50 distinct candidates"),
+    ], ids=["nan", "inf", "two-values", "scalar"])
+    def test_objective_without_one_finite_value_per_candidate_rejected(self, objective, match):
+        space = bundled_space("svm")
+        pred = FunctionPredictor(space, lambda cost: (cost - 1.0) ** 2, param="cost")
+        assert minimize(pred, space, SVM_GRID, context="svm").risk == 1.0
+        with pytest.raises(ValueError, match=match):
+            minimize(pred, space, SVM_GRID, objective=objective, context="svm")
 
     @pytest.mark.parametrize("optimizer", [GRID, OptimizerSpec(mode="random", budget=50)])
     @pytest.mark.parametrize("fixed, match", [
@@ -231,8 +253,7 @@ class TestNoBlockOutlivesItsSearch:
         monkeypatch.setattr(hyperspace._Block, "__init__", recording)
         return made
 
-    @pytest.mark.parametrize("optimizer", [OptimizerSpec(mode="grid", levels=5),
-                                           OptimizerSpec(mode="random", budget=400)])
+    @pytest.mark.parametrize("optimizer", [SVM_GRID, OptimizerSpec(mode="random", budget=400)])
     def test_searches_release_their_blocks(self, blocks, optimizer):
         space = bundled_space("svm")
         pred = FunctionPredictor(space, lambda cost: (cost - 1.0) ** 2, param="cost")
@@ -241,15 +262,40 @@ class TestNoBlockOutlivesItsSearch:
             lambda: minimize(pred, space, optimizer).config,
             lambda: compute_defaults({"a": pred, "b": pred}, space, NO_SCALE, MEAN,
                                      optimizer).config,
+            lambda: conditional_reference("gamma", space, {"a": pred}, NO_SCALE, MEAN, optimizer),
             lambda: tunability_parameter("cost", reference, pred, space, optimizer),
         ]
         for search in searches:
             made = len(blocks)
             result = search()
             assert len(blocks) == made + 1 and blocks[-1]() is None
-            if isinstance(result, Configuration):
-                assert result._block is None
-                assert type(result._values) is dict and type(result._active) is dict
+            if isinstance(result, Configuration):  # not a row of the block
+                assert type(result) is Configuration
+
+    def test_public_functions_return_small_plain_configurations(self):
+        space = bundled_space("svm")
+        pred = FunctionPredictor(space, lambda cost: (cost - 1.0) ** 2, param="cost")
+        random = OptimizerSpec(mode="random", budget=10_000)
+        returned = {
+            "sample_configurations": sample_configurations(space, np.random.default_rng(0),
+                                                           10_000)[0],
+            "sample_configuration": sample_configuration(space, np.random.default_rng(0)),
+            "grid_configurations": grid_configurations(space, 10)[0],
+            "make_configuration": make_configuration(space, {}),
+            "bundled_package_defaults": bundled_package_defaults("svm"),
+            "minimize": minimize(pred, space, random).config,
+            "dataset_optimum": dataset_optimum(pred, space, SVM_GRID).config,
+            "compute_defaults": compute_defaults({"a": pred}, space, NO_SCALE, MEAN,
+                                                 random).config,
+            "conditional_reference": conditional_reference("gamma", space, {"a": pred},
+                                                           NO_SCALE, MEAN, random),
+        }
+        assert dataclasses.is_dataclass(Configuration)
+        for name, c in returned.items():
+            assert type(c) is Configuration, name
+            assert len(pickle.dumps(c)) < 1024, name
+            assert dataclasses.replace(c, values=dict(c.values)) == c, name
+            assert dataclasses.asdict(c) == {"values": c.values, "active": c.active}, name
 
 
 class TestDatasetOptimum:
