@@ -208,6 +208,27 @@ class _Trees:
         leaves, first = self._leaf_nodes
         return leaves[first[:, None] + leaf]
 
+    def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's cell, numbered densely in order, and the first row of each cell.
+
+        A row's intervals on the split columns, in `_cuts` order, are the
+        digits of one mixed-radix int64 code (radix: cuts + 1), so the codes
+        order the cells as the tuples of intervals do, and one `np.unique`
+        numbers them. Before a digit that could overflow int64, the code is
+        replaced by its dense rank, which keeps the order.
+        """
+        code = np.zeros(X.shape[0], dtype=np.int64)
+        size = 1  # every code so far is below it
+        for column, cuts, _ in self._cuts:
+            radix = cuts.size + 1
+            if size * radix > 1 << 63:
+                distinct, code = np.unique(code, return_inverse=True)
+                size = distinct.size
+            code = code * radix + np.searchsorted(cuts, X[:, column])
+            size *= radix
+        _, first, cell = np.unique(code, return_index=True, return_inverse=True)
+        return cell, first
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value, summed in tree order.
 
@@ -226,13 +247,8 @@ class _Trees:
         `_PREDICT_CHUNK` (tree, row) pairs are scored at once.
         """
         X = np.ascontiguousarray(X, dtype=float)
-        n_trees, n = self.roots.size, X.shape[0]
-        # each row's cell, numbered densely after each column, and the first row of each cell
-        cell = np.zeros(n, dtype=np.intp)
-        for column, cuts, _ in self._cuts:
-            cell = np.unique(cell * (cuts.size + 1) + np.searchsorted(cuts, X[:, column]),
-                             return_inverse=True)[1]
-        first = np.unique(cell, return_index=True)[1]
+        n_trees = self.roots.size
+        cell, first = self._cells(X)
         sums = np.empty(first.size)
         step = max(1, _PREDICT_CHUNK // n_trees)
         for start in range(0, first.size, step):

@@ -10,10 +10,11 @@ canonical placeholder value and an ``active=False`` flag.
 
 Candidates are built column by column into one private block: per
 parameter a value column and an activity column. `sample_configurations`
-and `grid_configurations` turn each row into a plain `Configuration`;
-`tunability.minimize` keeps the block and takes its candidates as private
-rows holding only (block, row), whose keys come from one pass over the
-columns and whose encoding reads the columns by row index.
+and `grid_configurations` turn each row into a plain `Configuration`.
+`tunability.minimize` keeps the block and builds no object per candidate:
+it moves one row view through the block, whose keys come from one pass
+over the columns, and encodes its distinct rows as one view of row
+indices, read from the columns by fancy indexing.
 """
 
 from __future__ import annotations
@@ -119,17 +120,26 @@ class ParamDef:
         return self.levels[0]
 
     def contains(self, value: Any) -> bool:
-        if isinstance(value, bool) and self.kind in ("numeric", "integer"):
-            return False  # an int to Python, but not a number of a space
-        if self.kind == "numeric":
-            return isinstance(value, (int, float)) and self.lower <= value <= self.upper
-        if self.kind == "integer":
-            return (
-                isinstance(value, (int, np.integer))
-                and float(value).is_integer()
-                and self.lower <= value <= self.upper
-            )
+        if self.kind in ("numeric", "integer"):
+            return not _not_a(self, value) and self.lower <= value <= self.upper
         return value in self.levels
+
+
+# the types a numeric or an integer parameter holds, and what a value of another type is not
+_NUMBER_TYPES = {"numeric": ((int, float, np.integer, np.floating), "a number"),
+                 "integer": ((int, np.integer), "an integer")}
+
+
+def _not_a(p: ParamDef, value: Any) -> str:
+    """What `value` is not when numeric or integer `p` cannot hold it at any size, else "".
+
+    Python and numpy ints count for both kinds, floats for numeric only;
+    ``bool`` and ``np.bool_`` for neither. Other kinds hold any type.
+    """
+    if p.kind not in _NUMBER_TYPES:
+        return ""
+    types, what = _NUMBER_TYPES[p.kind]
+    return what if isinstance(value, bool) or not isinstance(value, types) else ""
 
 
 @dataclass(frozen=True)
@@ -228,10 +238,11 @@ class Configuration:
 
 
 class _Row(Configuration):
-    """Row ``_row`` of a candidate block: a search's candidate, a key with no dicts.
+    """A view of row ``_row`` of a candidate block: a key with no dicts.
 
-    Made with ``object.__new__`` and two slot stores; since `Configuration`
-    has slots too, a row has no instance dict to set up.
+    `_Block.cursor` makes one per search, and the search moves it from row
+    to row by storing ``_row``, so no object is built per candidate. Since
+    `Configuration` has slots too, the view has no instance dict.
     """
 
     __slots__ = ("_block", "_row")
@@ -240,13 +251,26 @@ class _Row(Configuration):
         return self._block.keys[self._row]
 
 
+class _Rows:
+    """Rows ``index`` of a candidate block, in that order: what a search encodes."""
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: _Block, index: np.ndarray):
+        self.block, self.index = block, index
+
+    def __len__(self) -> int:
+        return self.index.size
+
+
 class _Block:
     """The columns of one `_build_block` call, in draw order.
 
     ``values[name]`` holds every row's value of a parameter: float or int
     arrays for drawn numbers, object arrays for levels and pinned values, so
     that ``item`` gives back the exact value a dict holds. ``active``
-    holds the matching flags.
+    holds the matching flags. A search reads the rows through one `cursor`
+    and a `_Rows` view, and only `row` builds a `Configuration`.
     """
 
     def __init__(self, space: SearchSpace, values: dict[str, np.ndarray],
@@ -272,30 +296,26 @@ class _Block:
     def configurations(self) -> list[Configuration]:
         return [self.row(i) for i in range(self.n)]
 
-    def rows(self) -> list[_Row]:
-        out = []
-        new = object.__new__
-        for i in range(self.n):
-            c = new(_Row)
-            c._block, c._row = self, i
-            out.append(c)
-        return out
+    def cursor(self) -> _Row:
+        """One view of row 0, to be moved through the block by storing its ``_row``."""
+        view = object.__new__(_Row)
+        view._block, view._row = self, 0
+        return view
 
 
-def _gather(configs: Sequence[Configuration],
+def _gather(configs: Sequence[Configuration] | _Rows,
             params: Sequence[ParamDef]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(values, flags) arrays of each parameter over `configs`.
 
-    Rows of one block (a search's distinct candidates) are taken from its
-    columns by row index. Plain configurations are read from their dicts: a
-    missing flag reads as inactive, and an inactive cell holds the
-    parameter's placeholder.
+    The rows of a `_Rows` view (a search's distinct candidates) are taken
+    from the block's columns by fancy indexing. Plain configurations are
+    read from their dicts: a missing flag reads as inactive, and an inactive
+    cell holds the parameter's placeholder.
     """
+    if isinstance(configs, _Rows):
+        block, index = configs.block, configs.index
+        return [(block.values[p.name][index], block.active[p.name][index]) for p in params]
     n = len(configs)
-    if n and type(configs[0]) is _Row:
-        block = configs[0]._block
-        rows = np.fromiter((c._row for c in configs), np.intp, n)
-        return [(block.values[p.name][rows], block.active[p.name][rows]) for p in params]
     values = [c.values for c in configs]
     active = [c.active for c in configs]
     out = []
@@ -456,6 +476,9 @@ def _check_fixed(space: SearchSpace, fixed: dict[str, Any]) -> None:
     for name, value in fixed.items():
         if name not in space:
             raise SpaceError(f"fixed value for unknown parameter {name!r}")
+        not_a = _not_a(space[name], value)
+        if not_a:
+            raise SpaceError(f"fixed value {value!r} of {name!r} is not {not_a}")
         if not space[name].contains(value):
             raise SpaceError(f"fixed value {value!r} of {name!r} is outside its bounds or levels")
 
@@ -616,7 +639,10 @@ def validate_configuration(space: SearchSpace, config: Configuration) -> list[st
                 violations.append(f"{p.name}: must be inactive under {p.condition.parent}")
             elif not is_active and should:
                 violations.append(f"{p.name}: must be active under {p.condition.parent}")
-        if is_active and not p.contains(config.values[p.name]):
+        not_a = _not_a(p, config.values[p.name])
+        if is_active and not_a:
+            violations.append(f"{p.name}: value {config.values[p.name]!r} is not {not_a}")
+        elif is_active and not p.contains(config.values[p.name]):
             if p.kind in ("numeric", "integer"):
                 violations.append(f"{p.name}: value {config.values[p.name]} out of bounds")
             else:

@@ -210,8 +210,12 @@ _NEIGHBOUR_CHUNK = 4096  # query rows per block of the distance matrix
 def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices into `train` of each query row's k nearest rows, and their distances.
 
-    Euclidean distance, nearest first; the stable sort keeps tied rows in
-    training order. k is capped at the number of training rows.
+    Euclidean distance, nearest first; ties keep training order, as the
+    first k of a stable argsort would. k is capped at the number of
+    training rows. A row's k-th distance comes from `np.partition`, and the
+    rows within it, in training order, are stable-sorted; only a query row
+    with more or fewer than k such rows (a tie at the k-th distance, or a
+    NaN) is stable-sorted in full.
     """
     k = min(k, train.shape[0])
     index = np.empty((query.shape[0], k), dtype=np.intp)
@@ -219,7 +223,17 @@ def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, 
     for start in range(0, query.shape[0], _NEIGHBOUR_CHUNK):
         chunk = query[start:start + _NEIGHBOUR_CHUNK]
         d = np.sqrt(((chunk[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        if 0 < k < d.shape[1]:
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+            within = d <= kth
+            exact = np.count_nonzero(within, axis=1) == k
+            order = np.empty((d.shape[0], k), dtype=np.intp)
+            near = np.nonzero(within[exact])[1].reshape(-1, k)
+            order[exact] = np.take_along_axis(near, np.argsort(
+                np.take_along_axis(d[exact], near, axis=1), axis=1, kind="stable"), axis=1)
+            order[~exact] = np.argsort(d[~exact], axis=1, kind="stable")[:, :k]
+        else:
+            order = np.argsort(d, axis=1, kind="stable")[:, :k]
         index[start:start + chunk.shape[0]] = order
         dist[start:start + chunk.shape[0]] = np.take_along_axis(d, order, axis=1)
     return index, dist

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._rng import derive_rng
 from ._tree import _Trees, grow
-from .hyperspace import Configuration, SearchSpace, _gather
+from .hyperspace import Configuration, SearchSpace, _gather, _Rows
 from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
@@ -76,13 +76,13 @@ class ConfigEncoder:
                     cols.append(f"{p.name}=__inactive__")
         return cls(space=space, columns=tuple(cols))
 
-    def encode_configs(self, configs: Sequence[Configuration]) -> np.ndarray:
+    def encode_configs(self, configs: Sequence[Configuration] | _Rows) -> np.ndarray:
         """One encoded row per configuration, built a parameter column at a time.
 
         Each parameter's values and flags are gathered in one pass: from the
-        dicts of plain configurations, or by row index from the columns when
-        `tunability.minimize` passes the rows of its candidate block, which
-        have no dicts. A numeric cell is its value,
+        dicts of plain configurations, or by fancy indexing of the columns
+        when `tunability.minimize` passes a view of row indices into its
+        candidate block (`hyperspace._Rows`). A numeric cell is its value,
         or the midpoint when inactive; a level cell is a one-hot over the
         levels, or over the extra inactive column. An unconditional
         parameter that is flagged inactive or has no flag, and an active

@@ -9,14 +9,14 @@ search on the untransformed scale.
 
 A predictor has an ``encoder`` (a `surrogate.ConfigEncoder`) and
 ``predict_encoded(X) -> float array`` over encoded rows; fitted surrogates
-qualify, and so do plain lookup tables in tests. A search takes its
-candidates as private rows of the column block that
-`hyperspace.grid_configurations` and `sample_configurations` build,
-encodes its distinct candidates once from the block's columns, with the
-encoder its predictors share (equal by value), and has every predictor
-score that one matrix; reference configurations take the same path
-through their dicts. The block and its rows stay inside the search: only
-the winner becomes a plain `Configuration`.
+qualify, and so do plain lookup tables in tests. A search keeps the
+column block that `hyperspace.grid_configurations` and
+`sample_configurations` build, keys its rows through one moving row view,
+encodes its distinct rows once from the block's columns by row index,
+with the encoder its predictors share (equal by value), and has every
+predictor score that one matrix; reference configurations take the same
+path through their dicts. No object is built per candidate, and the block
+stays inside the search: only the winner becomes a plain `Configuration`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .hyperspace import (
     Configuration,
     SearchSpace,
     _grid_block,
+    _Rows,
     _sample_block,
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
 )
@@ -95,7 +96,7 @@ def _as_predictor_list(predictors) -> tuple[list[str], list]:
     return [getattr(predictors, "dataset_id", "?")], [predictors]
 
 
-def _risks(predictors, configs: list[Configuration]) -> np.ndarray:
+def _risks(predictors, configs: list[Configuration] | _Rows) -> np.ndarray:
     """(datasets x configs) predicted risks of a {dataset id: predictor} dict or one predictor.
 
     The configurations are encoded once, with the encoder every predictor
@@ -124,13 +125,15 @@ def minimize(
 
     The candidates are the cells of `grid_configurations` in grid mode
     and the draws of `sample_configurations` in random mode, kept as rows
-    of their block. Repeated candidates (same `Configuration.key`, one
-    call per row) are encoded, predicted and scored once, in order of first
-    appearance, straight from the block's columns. Predictors whose
-    encoders differ by value raise ValueError. `objective` maps the
-    (m datasets x U distinct candidates) risk matrix to U finite values
-    (default: mean over datasets); any other output raises ValueError
-    naming the search, and the candidate's key for a non-finite value.
+    of their block. One row view moves through the block, and its
+    `Configuration.key` (one call per row) maps each distinct candidate to
+    the row where it first appears. The distinct rows, in that order, are
+    encoded, predicted and scored once, straight from the block's columns
+    by row index. Predictors whose encoders differ by value raise
+    ValueError. `objective` maps the (m datasets x U distinct candidates)
+    risk matrix to U finite values (default: mean over datasets); any
+    other output raises ValueError naming the search, and the candidate's
+    key for a non-finite value.
     Ties are broken by the first optimum in candidate order: grid order
     (see `OptimizerSpec`), or sample order for random search. Only the
     winner becomes a plain `Configuration`. ``tie_count`` counts the distinct
@@ -148,20 +151,23 @@ def minimize(
         block = _sample_block(space, rng, n, fixed)
     if not block.n:
         raise ValueError("empty candidate set")
-    index = {}
-    for c in block.rows():
-        index.setdefault(c.key(space), c)
-    keys, uniques = list(index), list(index.values())
-    risks = _risks(predictors, uniques)
+    index = {}  # key -> first row
+    view = block.cursor()
+    for i in range(block.n):
+        view._row = i
+        index.setdefault(view.key(space), i)
+    keys = list(index)
+    rows = np.fromiter(index.values(), np.intp, len(keys))
+    risks = _risks(predictors, _Rows(block, rows))
     bad = np.argwhere(~np.isfinite(risks))
     if bad.size:
         r, j = bad[0]
         raise ValueError(f"non-finite risk {risks[r, j]} on dataset {ds_ids[r]!r} "
                          f"for candidate {keys[j]} (search {context!r})")
     obj = risks.mean(axis=0) if objective is None else np.asarray(objective(risks), dtype=float)
-    if obj.shape != (len(uniques),):
+    if obj.shape != (len(keys),):
         raise ValueError(f"the objective of search {context!r} gives shape {obj.shape} for "
-                         f"{len(uniques)} distinct candidates; it must give one value each")
+                         f"{len(keys)} distinct candidates; it must give one value each")
     bad = np.flatnonzero(~np.isfinite(obj))
     if bad.size:
         raise ValueError(f"the objective of search {context!r} gives {obj[bad[0]]} "
@@ -172,7 +178,7 @@ def minimize(
     if ties > 1:
         logger.warning("search %r ends in a %d-way tie over %d candidates; "
                        "the first found wins", context, ties, block.n)
-    return MinimizeResult(block.row(uniques[best]._row), best_val, ties, block.n)
+    return MinimizeResult(block.row(int(rows[best])), best_val, ties, block.n)
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------

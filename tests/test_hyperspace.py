@@ -301,15 +301,51 @@ class TestValidateConfiguration:
         assert any(v.startswith("gamma: must be inactive") for v in violations)
 
     def test_bool_is_not_a_number(self):
-        for name, values in [("svm", {"cost": True}), ("kknn", {"k": True})]:
+        for name, param, what in [("svm", "cost", "a number"), ("kknn", "k", "an integer")]:
             space = bundled_space(name)
-            (param,) = values
-            assert space[param].contains(1) and not space[param].contains(True)
-            cfg = make_configuration(space, {})
-            cfg.values.update(values)
-            assert validate_configuration(space, cfg) == [f"{param}: value True out of bounds"]
-            with pytest.raises(SpaceError, match=f"fixed value True of '{param}' is outside"):
-                sample_configurations(space, rng(0), 2, values)
+            for flag in (True, np.bool_(True)):
+                assert space[param].contains(1) and not space[param].contains(flag)
+                cfg = make_configuration(space, {})
+                cfg.values[param] = flag
+                assert validate_configuration(space, cfg) == [
+                    f"{param}: value {flag!r} is not {what}"]
+                with pytest.raises(SpaceError, match=f"fixed value {flag!r} of '{param}' is not"):
+                    sample_configurations(space, rng(0), 2, {param: flag})
+
+    @pytest.mark.parametrize("name, param, value", [
+        ("svm", "cost", np.int64(1)), ("svm", "cost", np.float32(1)),
+        ("svm", "cost", np.float64(-2.5)), ("rpart", "maxdepth", np.int64(5)),
+        ("rpart", "maxdepth", np.int32(30)), ("rpart", "cp", np.float32(0.5)),
+    ])
+    def test_numpy_scalars_pin_numbers(self, name, param, value):
+        space = bundled_space(name)
+        cfg = make_configuration(space, {param: value})
+        assert validate_configuration(space, cfg) == []
+        pinned = sample_configurations(space, rng(0), 3, {param: value})
+        pinned += grid_configurations(space, 2, {param: value})
+        for c in pinned:
+            assert type(c.values[param]) is type(value) and c.values[param] == value
+            assert validate_configuration(space, c) == []
+
+    @pytest.mark.parametrize("name, param, value, message", [
+        ("rpart", "maxdepth", np.float64(5.0), "is not an integer"),
+        ("rpart", "maxdepth", 5.0, "is not an integer"),
+        ("svm", "cost", "1", "is not a number"),
+        ("svm", "cost", np.int64(99), "is outside its bounds or levels"),
+        ("svm", "cost", np.float32("nan"), "is outside its bounds or levels"),
+        ("rpart", "maxdepth", np.int64(31), "is outside its bounds or levels"),
+    ])
+    def test_wrong_type_and_out_of_bounds_pins_name_their_cause(self, name, param, value,
+                                                                 message):
+        space = bundled_space(name)
+        for build in (lambda f: sample_configurations(space, rng(0), 2, f),
+                      lambda f: grid_configurations(space, 2, f)):
+            with pytest.raises(SpaceError, match=f"fixed value .* of '{param}' {message}"):
+                build({param: value})
+        cfg = make_configuration(space, {param: value})
+        (violation,) = validate_configuration(space, cfg)
+        assert violation.startswith(f"{param}: value ")
+        assert ("out of bounds" in violation) == ("outside" in message)
 
     def test_foreign_parameter_flagged(self):
         space = bundled_space("kknn")
@@ -421,18 +457,27 @@ class TestGridConfigurations:
 
 
 class TestBlockRows:
-    """A search's rows of a candidate block key and encode like the plain configurations."""
+    """A search's moving row view keys, and its `_Rows` views encode, like plain configurations."""
 
     def check_rows(self, space, block, plain, fixed):
-        rows = block.rows()
-        assert all(type(c) is hyperspace._Row for c in rows)
         assert [block.row(i) for i in range(block.n)] == plain
-        assert [c.key(space) for c in rows] == [c.key(space) for c in plain]
+        view = block.cursor()
+        assert type(view) is hyperspace._Row and view._row == 0
+        keys = []
+        for i in range(block.n):
+            view._row = i
+            keys.append(view.key(space))
+        assert keys == [c.key(space) for c in plain]
         encoder = ConfigEncoder.build(space)
-        for picked in (slice(None), slice(None, None, -2)):  # a search encodes some rows
-            X = encoder.encode_configs(rows[picked]).tobytes()
-            assert X == encoder.encode_configs(plain[picked]).tobytes()
-            assert X == encode_rows(space, plain[picked]).tobytes()
+        n = block.n
+        # a search encodes some rows, in order of first appearance; repeats are encoded as asked
+        for index in (np.arange(n), np.arange(n)[::-2], np.arange(n).repeat(2)[::-1]):
+            rows = hyperspace._Rows(block, index)
+            assert len(rows) == index.size
+            picked = [plain[i] for i in index]
+            X = encoder.encode_configs(rows).tobytes()
+            assert X == encoder.encode_configs(picked).tobytes()
+            assert X == encode_rows(space, picked).tobytes()
         for c in plain:
             assert type(c) is Configuration
             assert validate_configuration(space, c) == []

@@ -1,5 +1,6 @@
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,6 +341,39 @@ class TestStackedElasticNet:
              0.744, 0.5999999999999999, 0.20814776718632766),
             (0.7345468929920094, 8.658414760857287, 0.5, 0.5, 0.25),
         ]
+
+
+@st.composite
+def neighbour_searches(draw):
+    """Train and query rows of few distinct values, with duplicate rows, NaN and k >= n."""
+    p = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0, width=32),
+                      st.just(np.nan))
+    row = st.lists(value, min_size=p, max_size=p)
+    train = draw(st.lists(row, min_size=1, max_size=25))
+    train += [train[i] for i in draw(st.lists(st.integers(0, len(train) - 1), max_size=5))]
+    query = draw(st.lists(st.one_of(row, st.sampled_from(train)), min_size=1, max_size=12))
+    k = draw(st.integers(1, len(train) + 3))
+    return np.array(train), np.array(query), k
+
+
+class TestNearest:
+    @settings(max_examples=300, deadline=None)
+    @given(case=neighbour_searches(), chunk=st.integers(1, 5))
+    def test_equals_the_first_k_of_a_stable_argsort(self, case, chunk):
+        train, query, k = case
+        d = np.sqrt(((query[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        with mock.patch.object(metadata, "_NEIGHBOUR_CHUNK", chunk):
+            index, dist = metadata._nearest(train, query, k)
+        assert index.dtype == np.intp and np.array_equal(index, order)
+        assert dist.tobytes() == np.take_along_axis(d, order, axis=1).tobytes()
+
+    def test_ties_at_the_kth_distance_keep_training_order(self):
+        train = np.array([[3.0], [1.0], [2.0], [1.0], [0.0], [1.0]])
+        index, dist = metadata._nearest(train, np.array([[0.0], [2.0], [np.nan]]), 3)
+        assert index.tolist() == [[4, 1, 3], [2, 0, 1], [0, 1, 2]]
+        assert dist[:2].tolist() == [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
 
 
 class TestKnnClassifier:

@@ -257,6 +257,34 @@ def first_row_of_each_cell(trees, X):
     return np.sort(np.unique(sides, axis=0, return_index=True)[1])
 
 
+def densified_cells(trees, X):
+    """Each row's cell and each cell's first row, the cells numbered densely after every column."""
+    cell = np.zeros(X.shape[0], dtype=np.intp)
+    for column, cuts, _ in trees._cuts:
+        cell = np.unique(cell * (cuts.size + 1) + np.searchsorted(cuts, X[:, column]),
+                         return_inverse=True)[1]
+    return cell, np.unique(cell, return_index=True)[1]
+
+
+def combs(thresholds, values):
+    """One tree per column: a chain of splits on it, each with a leaf on its left."""
+    feature, threshold, left, right, value, roots = [], [], [], [], [], []
+    for column, (cuts, leaf_values) in enumerate(zip(thresholds, values)):
+        roots.append(len(feature))
+        for t in cuts:
+            node = len(feature)
+            feature += [column, -1]
+            threshold += [t, 0.0]
+            left += [node + 1, -1]
+            right += [node + 2, -1]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value += [v for leaf in leaf_values[:-1] for v in (0.0, leaf)] + [leaf_values[-1]]
+    return _Trees(feature, threshold, left, right, value, roots)
+
+
 class ScoredRows:
     """Patches `_Trees.exit_leaves` to record the rows it scores and its (tree, row) pairs."""
 
@@ -336,6 +364,7 @@ class TestForestPredict:
             scored = ScoredRows(monkeypatch)
             got = trees.predict(queries)
         assert got.tobytes() == expected.tobytes()
+        assert same_bits(trees._cells(queries), densified_cells(trees, queries))
         # only the first row of each cell is scored, once and in every tree
         assert sorted(scored.rows) == first_row_of_each_cell(trees, queries).tolist()
         assert sum(scored.sizes) == trees.roots.size * len(scored.rows)
@@ -391,6 +420,32 @@ class TestForestPredict:
         assert float(predicted[0]).hex() == "0x1.7778aaa0c8530p-1"
         assert hashlib.sha256(predicted.astype("<f8").tobytes()).hexdigest() == (
             "c79e9aa7c1986c63e4819c7ec3a6ea8a9e837a7d4b3a3790d3f4a3812830814b")
+
+
+class TestCellCodes:
+    """Cells from one mixed-radix code equal the cells densified after every column."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_codes_past_int64_densify_in_order(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        columns = 12
+        thresholds = [np.sort(rng.choice(np.linspace(-1.0, 1.0, 401), int(rng.integers(90, 110)),
+                                         replace=False)) for _ in range(columns)]
+        values = [rng.normal(size=cuts.size + 1) for cuts in thresholds]
+        trees = combs(thresholds, values)
+        assert len(trees._cuts) == columns
+        assert np.prod([float(cuts.size + 1) for _, cuts, _ in trees._cuts]) > 2.0 ** 63
+        # rows on, between and beyond the thresholds; a third of them repeat earlier rows
+        X = rng.choice(np.linspace(-1.2, 1.2, 481), size=(600, columns))
+        X = np.vstack([X, X[rng.integers(0, 600, 300)]])
+        X[rng.integers(0, 900, 50), rng.integers(0, columns, 50)] = np.nan
+        expected = densified_cells(trees, X)
+        assert np.unique(expected[0]).size < X.shape[0]
+        assert same_bits(trees._cells(X), expected)
+        got = trees.predict(X)
+        assert got.tobytes() == tree_order_sum(trees, X).tobytes()
+        monkeypatch.setattr(_Trees, "_cells", densified_cells)
+        assert got.tobytes() == trees.predict(X).tobytes()
 
 
 def leaf_count(trees):

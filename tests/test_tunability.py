@@ -22,6 +22,7 @@ from conftest import (
     random_table,
 )
 from tunemeter import hyperspace
+from tunemeter._rng import derive_rng
 from tunemeter.hyperspace import (
     Configuration,
     SpaceError,
@@ -111,6 +112,27 @@ class TestMinimize:
         assert res.tie_count == 1 and not res.tied
         assert res.n_evaluated == 2000
 
+    @pytest.mark.parametrize("seed, context", [(0, "slice"), (3, "slice"), (7, "other")])
+    def test_random_search_matches_the_drawn_stream(self, seed, context):
+        # a 4 x 5 slice of a 3-parameter integer space: 90 draws repeat its 20 cells,
+        # and a third of the cells tie exactly at the optimum
+        space = integer_grid_space([4, 5, 3])
+        rng = np.random.default_rng(seed)
+        table = {cell: float(rng.choice([0.1, 0.2, 0.3])) for cell in all_cells(space)}
+        fixed, n = {"p2": 1}, 90
+        res = minimize(TablePredictor(space, table), space,
+                       OptimizerSpec(mode="random", budget=n, seed=seed),
+                       fixed=fixed, context=context)
+        draws = [c.key(space) for c in sample_configurations(
+            space, derive_rng(seed, "opt", context), n, fixed)]
+        risks = [table[key] for key in draws]
+        best = min(risks)
+        assert len(set(draws)) < n  # the draws repeat
+        assert res.config.key(space) == draws[risks.index(best)]  # first drawn among ties
+        assert res.risk == best
+        assert res.tie_count == len({key for key, r in zip(draws, risks) if r == best}) > 1
+        assert res.n_evaluated == n
+
     @pytest.mark.parametrize("optimizer", [GRID, OptimizerSpec(mode="random", budget=50)])
     def test_non_finite_risk_rejected(self, optimizer):
         space, _, pred, _ = table_setup([4], [0.4, 0.3, float("nan"), 0.2])
@@ -138,7 +160,7 @@ class TestMinimize:
         ({"nope": 1}, "unknown parameter 'nope'"),
         ({"cp": 5.0, "maxdepth": 9}, "5.0 of 'cp' is outside"),
         ({"cp": 0.5, "maxdepth": 99}, "99 of 'maxdepth' is outside"),
-        ({"minsplit": 2.5}, "2.5 of 'minsplit' is outside"),
+        ({"minsplit": 2.5}, "2.5 of 'minsplit' is not an integer"),
     ])
     def test_fixed_values_outside_the_space_rejected(self, optimizer, fixed, match):
         space = bundled_space("rpart")
