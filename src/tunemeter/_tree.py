@@ -39,9 +39,20 @@ has a mask with the bits of its left subtree's leaves cleared. For each
 interval between a column's thresholds, the masks of that column's nodes
 whose threshold lies below the interval are ANDed in advance, one table row
 per interval; so a row costs one lookup and one AND per split column, and
-the lowest bit left standing is its leaf. Trees of more than 64 leaves take
-several 64-bit words. The thresholds and the tables are derived from the
-node arrays, not stored with them.
+the lowest bit left standing is its leaf. The intervals are those `_cells`
+found for the cell codes, so a batch runs one `searchsorted` per column.
+
+The masks are as wide as the largest tree's leaves, as in V-QuickScorer
+(Lucchese et al., "Exploiting CPU SIMD Extensions to Speed-up Document
+Scoring with Tree Ensembles", SIGIR 2016): uint8 up to 8 leaves, then
+uint16, uint32 and uint64, and several uint64 words beyond 64 leaves. A
+mask becomes a leaf value in one table lookup: in uint8 the mask itself
+indexes its tree's table, which holds the value of each mask's lowest set
+bit; in wider types the position of that bit, read from its de Bruijn
+hash, indexes the tree's leaf values. The values of a chunk of cells
+come out as (trees, rows), and the sum adds them one tree at a time along
+the contiguous row axis. The thresholds and the tables are derived from
+the node arrays, not stored with them.
 """
 
 from __future__ import annotations
@@ -55,6 +66,30 @@ _GROW_CHUNK = 1 << 14  # elements of one padded (nodes, features, rows) search b
 _PREDICT_CHUNK = 1 << 13  # (tree, row) pairs scored at once
 _ALL = np.uint64(2 ** 64 - 1)
 _LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
+_MASK_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+# the position of the lowest set bit of each byte (of 0: 0)
+_LOWEST_BIT = np.array([(k & -k).bit_length() - 1 if k else 0 for k in range(256)],
+                       dtype=np.intp)
+
+
+def _de_bruijn(dtype, multiplier: int) -> tuple:
+    """1, a de Bruijn multiplier and its shift in `dtype`, and the positions they map to.
+
+    Times the multiplier, with the product wrapping, and shifted right, each
+    power of two 2^b of the type gives a distinct number below the type's
+    width; `positions` maps it back to b. Every scalar has the mask type, so
+    numpy 1.x and 2.x compute in it alike.
+    """
+    width = np.iinfo(dtype).bits
+    shift = width - width.bit_length() + 1
+    positions = np.empty(width, dtype=np.intp)
+    positions[[((multiplier << b) % (1 << width)) >> shift for b in range(width)]] = range(width)
+    return dtype(1), dtype(multiplier), dtype(shift), positions
+
+
+_DE_BRUIJN = {np.uint16: _de_bruijn(np.uint16, 0x0F65),
+              np.uint32: _de_bruijn(np.uint32, 0x077CB531),
+              np.uint64: _de_bruijn(np.uint64, 0x03F79D71B4CB0A89)}
 
 
 class _Trees:
@@ -114,51 +149,89 @@ class _Trees:
         return {name: getattr(self, name)
                 for name in ("feature", "threshold", "left", "right", "value", "roots")}
 
-    @functools.cached_property
     def _leaf_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """The leaves in node order (each tree's left to right) and each tree's first one."""
         leaves = np.flatnonzero(self.feature < 0)
         return leaves, np.searchsorted(leaves, self.roots)
 
     @functools.cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each tree's full mask, and the table and per-tree offsets that values a mask.
+
+        Masks take the narrowest unsigned type that holds the largest tree's
+        leaves, one bit a leaf (uint8 up to 8 leaves, then uint16, uint32 and
+        uint64); beyond 64 leaves, bit i % 64 of uint64 word i // 64 stands
+        for leaf i. Up to 64 leaves a tree's full mask has only its own
+        leaves' bits set, so in uint8 a tree of k leaves has masks below 2^k,
+        and its slice of the table, from its offset, holds for each such mask
+        the value of the leaf of its lowest set bit: 2^k values, sized to the
+        tree. In wider types the table holds the trees' leaf values in node
+        order, from each tree's first leaf, and a mask is valued by the
+        position of its lowest set bit. Tree 0's values have 0.0 added, so a
+        sum over the trees that starts from tree 0 starts from 0.0: a -0.0
+        leaf adds as +0.0.
+        """
+        leaves, first = self._leaf_nodes()
+        n_leaves = np.diff(np.append(first, leaves.size))
+        most = int(n_leaves.max())
+        dtype = next(d for d in _MASK_TYPES if np.iinfo(d).bits >= min(most, 64))
+        if most > 64:
+            top = np.full((self.roots.size, -(-most // 64)), _ALL)
+        else:
+            top = _LOW[n_leaves][:, None].astype(dtype)
+        if dtype == np.uint8:
+            size = np.left_shift(1, n_leaves)
+            offset = np.cumsum(size) - size
+            tree = np.repeat(np.arange(self.roots.size), size)
+            table = self.value[leaves[first[tree] + _LOWEST_BIT[np.arange(size.sum())
+                                                                - offset[tree]]]]
+        else:
+            table, offset = self.value[leaves], first
+        table[:np.append(offset, table.size)[1]] += 0.0  # tree 0's values
+        return top, table, offset
+
+    @functools.cached_property
     def _cuts(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """(column, its cuts, its mask table) for each column some node splits on.
 
-        A column's cuts are its sorted distinct thresholds. Bit i % 64 of word
-        i // 64 stands for a tree's leaf i; an inner node's mask has every bit
-        set but those of the leaves of its left subtree. Row j of a column's
-        table, of shape (cuts + 1, trees, words), holds per tree the AND of
-        the masks of the nodes on that column whose threshold is one of the
-        first j cuts: the nodes a value above exactly j cuts passes to the right.
+        A column's cuts are its sorted distinct thresholds. An inner node's
+        mask is its tree's full mask (`_lookup`) with the bits of the leaves
+        of its left subtree cleared. The masks are in the narrowest unsigned
+        type that holds the largest tree's leaves (V-QuickScorer: Lucchese et
+        al., SIGIR 2016): a table of uint8 masks is an eighth of one of
+        uint64 words. Row j of a column's table, of shape (cuts + 1, trees,
+        words), holds per tree the AND of the masks of the nodes on that
+        column whose threshold is one of the first j cuts: the nodes a value
+        above exactly j cuts passes to the right. Row 0 holds the full masks.
+        `_cells` gives each row its interval, the row of the table it takes.
         """
         inner = np.flatnonzero(self.feature >= 0)
         if not inner.size:
             return []
-        n_trees = self.roots.size
+        top = self._lookup[0]
         # inner nodes by (column, threshold), the nodes of one cut in node order, so in tree order
         nodes = inner[np.lexsort((self.threshold[inner], self.feature[inner]))]
         feature, threshold = self.feature[nodes], self.threshold[nodes]
         new_cut = np.ones(nodes.size, dtype=bool)
         new_cut[1:] = (feature[1:] != feature[:-1]) | (threshold[1:] != threshold[:-1])
         tree = np.searchsorted(self.roots, nodes, side="right") - 1
-        leaves, first = self._leaf_nodes
+        leaves, first = self._leaf_nodes()
         before = np.searchsorted(leaves, np.arange(self.feature.size + 1))  # leaves before node i
-        words = -(-int(np.diff(np.append(first, leaves.size)).max()) // 64)
         # the left subtree of node v holds the leaves from node v + 1 up to its right child
-        bit = 64 * np.arange(words)
+        bit = 64 * np.arange(top.shape[1])
         lo = np.clip((before[nodes + 1] - first[tree])[:, None] - bit, 0, 64)
         hi = np.clip((before[self.right[nodes]] - first[tree])[:, None] - bit, 0, 64)
-        masks = _LOW[lo] | ~_LOW[hi]
+        masks = (_LOW[lo] | ~_LOW[hi]).astype(top.dtype) & top[tree]
         # the nodes of one tree at one cut are neighbours: AND each run of them
         cut = np.cumsum(new_cut) - 1  # each node's cut, numbered over all columns
         run = np.flatnonzero(new_cut | np.append(True, tree[1:] != tree[:-1]))
-        per_cut = np.full((cut[-1] + 1, n_trees, words), _ALL)
+        per_cut = np.repeat(top[None], cut[-1] + 1, axis=0)
         per_cut[cut[run], tree[run]] = np.bitwise_and.reduceat(masks, run, axis=0)
         column, cuts = feature[new_cut], threshold[new_cut]
         out, start = [], 0
         for end in [*(np.flatnonzero(np.diff(column)) + 1).tolist(), cuts.size]:
-            table = np.empty((end - start + 1, n_trees, words), dtype=np.uint64)
-            table[0] = _ALL
+            table = np.empty((end - start + 1, *top.shape), dtype=top.dtype)
+            table[0] = top
             np.bitwise_and.accumulate(per_cut[start:end], axis=0, out=table[1:])
             out.append((int(column[start]), cuts[start:end], table))
             start = end
@@ -180,54 +253,59 @@ class _Trees:
             active = active[self.feature[at] >= 0]
         return node
 
-    def exit_leaves(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The leaf each row `rows` of `X` reaches in each tree, as (trees, rows) nodes.
+    def _leaf_values(self, intervals: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+        """The value of the leaf each of `rows` reaches in each tree, as (trees, rows).
 
-        A row goes right at a node exactly when the node's threshold is below
-        its value, so ANDing the table row that the value's `searchsorted`
-        index (left side) picks on each column clears, per tree, the leaves
-        of every left subtree the row passes by; the lowest bit left standing
-        is the leaf it reaches (QuickScorer: Lucchese et al., SIGIR 2015).
-        NaN sorts above every cut and, like +inf, goes right everywhere, and
-        -0.0 compares as 0.0, as in a walk.
+        `intervals` holds each row's interval on each column of `_cuts` (from
+        `_cells`). A row goes right at a node exactly when the node's
+        threshold is below its value, so ANDing the table rows its intervals
+        pick clears, per tree, the leaves of every left subtree the row
+        passes by; the lowest bit left standing is the leaf it reaches
+        (QuickScorer: Lucchese et al., SIGIR 2015). One lookup in `_lookup`'s
+        table values it: by the mask itself in uint8, else by the position
+        of its lowest set bit, read from the de Bruijn hash of that bit alone.
         """
-        if not self._cuts:  # every tree is a single leaf
-            return np.repeat(self.roots[:, None], rows.size, axis=1)
-        masks = None
-        for column, cuts, table in self._cuts:
-            picked = table[np.searchsorted(cuts, X[rows, column])]  # (rows, trees, words)
-            masks = picked if masks is None else np.bitwise_and(masks, picked, out=masks)
-        # the lowest set bit of the first word that has one: the exit leaf's bit is
-        # never cleared, so some word has
-        leaf = None
-        for word in reversed(range(masks.shape[2])):
-            bits = masks[:, :, word].T  # (trees, rows)
-            low = bits & (~bits + np.uint64(1))  # the lowest set bit alone, a power of two
-            at = np.frexp(low.astype(float))[1] + (64 * word - 1)
-            leaf = at if leaf is None else np.where(low != 0, at, leaf)
-        leaves, first = self._leaf_nodes
-        return leaves[first[:, None] + leaf]
+        top, table, offset = self._lookup
+        masks = np.repeat(top[None], rows.size, axis=0)  # (rows, trees, words)
+        for (_, _, cuts_table), interval in zip(self._cuts, intervals):
+            np.bitwise_and(masks, cuts_table[interval[rows]], out=masks)
+        if top.dtype == np.uint8:
+            key = masks[:, :, 0]
+        else:
+            # the first word with a set bit: the exit leaf's bit is never cleared
+            one, multiplier, shift, positions = _DE_BRUIJN[top.dtype.type]
+            key = None
+            for word in reversed(range(top.shape[1])):
+                bits = masks[:, :, word]
+                low = bits & (~bits + one)  # the lowest set bit alone
+                at = positions[(low * multiplier) >> shift] + np.intp(64 * word)
+                key = at if key is None else np.where(low != 0, at, key)
+        return np.take(table, (key + offset).T)  # (trees, rows), C order
 
-    def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's cell, numbered densely in order, and the first row of each cell.
+    def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Each row's cell, numbered densely in order, the first row of each cell, and
+        each row's interval on each column of `_cuts`.
 
-        A row's intervals on the split columns, in `_cuts` order, are the
-        digits of one mixed-radix int64 code (radix: cuts + 1), so the codes
-        order the cells as the tuples of intervals do, and one `np.unique`
-        numbers them. Before a digit that could overflow int64, the code is
-        replaced by its dense rank, which keeps the order.
+        A row's interval on a column is the number of its cuts below the
+        row's value (`searchsorted`, left side). The intervals, in `_cuts`
+        order, are the digits of one mixed-radix int64 code (radix: cuts +
+        1), so the codes order the cells as the tuples of intervals do, and
+        one `np.unique` numbers them. Before a digit that could overflow
+        int64, the code is replaced by its dense rank, which keeps the order.
         """
         code = np.zeros(X.shape[0], dtype=np.int64)
         size = 1  # every code so far is below it
+        intervals = []
         for column, cuts, _ in self._cuts:
             radix = cuts.size + 1
             if size * radix > 1 << 63:
                 distinct, code = np.unique(code, return_inverse=True)
                 size = distinct.size
-            code = code * radix + np.searchsorted(cuts, X[:, column])
+            intervals.append(np.searchsorted(cuts, X[:, column]))
+            code = code * radix + intervals[-1]
             size *= radix
         _, first, cell = np.unique(code, return_index=True, return_inverse=True)
-        return cell, first
+        return cell, first, intervals
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean over the trees of each row's leaf value, summed in tree order.
@@ -236,25 +314,32 @@ class _Trees:
         and the cuts of all columns cut the feature space into cells. Two rows
         in one cell take the same side of every threshold, so they reach the
         same leaf in every tree: only the first row of each distinct cell is
-        scored (`exit_leaves`), and its sum is given to every row of the
-        cell. A row's interval on a column is the number of cuts below its
-        value (`searchsorted`, left side), since a row goes left at a node
-        when its value is at most the threshold. So the result is
-        bit-identical to walking every row through every tree.
+        scored, and its sum is given to every row of the cell. `_cells` finds
+        each row's interval on each column with one `searchsorted` and numbers
+        the cells; the scorer (`_leaf_values`) ANDs the mask table rows the
+        first rows' intervals pick and turns each (row, tree) mask into its
+        leaf value with one lookup. A row goes left at a node when its value
+        is at most the threshold, so the result is bit-identical to walking
+        every row through every tree. NaN sorts above every cut and, like
+        +inf, goes right everywhere, and -0.0 compares as 0.0, as in a walk.
 
-        The sum starts from 0.0 and adds one tree at a time, as a loop over
-        the trees would, so a leaf of -0.0 predicts +0.0. At most
-        `_PREDICT_CHUNK` (tree, row) pairs are scored at once.
+        The sum starts from 0.0 (`_lookup` adds it to tree 0's values) and
+        adds one tree at a time, as a loop over the trees would, so a leaf
+        of -0.0 predicts +0.0. Each tree's values of a chunk are one
+        contiguous row, so the adds run along it (`np.add.reduce` over axis
+        0, which adds row after row; a lone row would be summed pairwise
+        instead, so it is accumulated). At most `_PREDICT_CHUNK` (tree, row)
+        pairs are scored at once.
         """
         X = np.ascontiguousarray(X, dtype=float)
         n_trees = self.roots.size
-        cell, first = self._cells(X)
+        cell, first, intervals = self._cells(X)
         sums = np.empty(first.size)
         step = max(1, _PREDICT_CHUNK // n_trees)
         for start in range(0, first.size, step):
-            vals = self.value[self.exit_leaves(X, first[start:start + step])]
-            vals[0] += 0.0  # the sum's 0.0 start: a -0.0 leaf adds as +0.0
-            sums[start:start + vals.shape[1]] = np.cumsum(vals, axis=0)[-1]
+            vals = self._leaf_values(intervals, first[start:start + step])
+            sums[start:start + vals.shape[1]] = (np.add.reduce(vals, axis=0) if vals.shape[1] > 1
+                                                 else np.cumsum(vals)[-1:])
         return (sums / n_trees)[cell]
 
 

@@ -204,7 +204,8 @@ class ToyLearnerSpec:
         return bundled_space(self.algorithm)
 
 
-_NEIGHBOUR_CHUNK = 4096  # query rows per block of the distance matrix
+_NEIGHBOUR_BLOCK = 1 << 16  # (query row, training row, column) differences per block
+_SORT_ALL = 1 << 11  # distances in a block small enough to stable-sort in full
 
 
 def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +213,10 @@ def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, 
 
     Euclidean distance, nearest first; ties keep training order, as the
     first k of a stable argsort would. k is capped at the number of
-    training rows. A row's k-th distance comes from `np.partition`, and the
+    training rows. The query rows go in blocks of at most
+    `_NEIGHBOUR_BLOCK` differences, all computed in one reused buffer. A
+    block of at most `_SORT_ALL` distances is stable-sorted in full. In a
+    larger one a row's k-th distance comes from `np.partition`, and the
     rows within it, in training order, are stable-sorted; only a query row
     with more or fewer than k such rows (a tie at the k-th distance, or a
     NaN) is stable-sorted in full.
@@ -220,10 +224,13 @@ def _nearest(train: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, 
     k = min(k, train.shape[0])
     index = np.empty((query.shape[0], k), dtype=np.intp)
     dist = np.empty((query.shape[0], k))
-    for start in range(0, query.shape[0], _NEIGHBOUR_CHUNK):
-        chunk = query[start:start + _NEIGHBOUR_CHUNK]
-        d = np.sqrt(((chunk[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
-        if 0 < k < d.shape[1]:
+    step = max(1, _NEIGHBOUR_BLOCK // max(1, train.size))
+    diff = np.empty((min(step, query.shape[0]), *train.shape), np.result_type(query, train))
+    for start in range(0, query.shape[0], step):
+        chunk = query[start:start + step]
+        block = np.subtract(chunk[:, None, :], train[None, :, :], out=diff[:chunk.shape[0]])
+        d = np.sqrt(np.square(block, out=block).sum(axis=2))
+        if 0 < k < d.shape[1] and d.size > _SORT_ALL:
             kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
             within = d <= kth
             exact = np.count_nonzero(within, axis=1) == k

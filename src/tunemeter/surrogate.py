@@ -16,7 +16,13 @@ rows to risks, so only fitting (`_fit_regressor`) tells the kinds apart.
 Both tree kinds are `_tree._Trees` from `_tree.grow`, a forest's bootstraps
 grown in one lockstep call; their predict scores one row per cell of the
 grid cut by the trees' thresholds, by ANDing precomputed leaf bitmasks
-instead of walking the trees, so repeated and near candidates cost little.
+instead of walking the trees (QuickScorer), so repeated and near candidates
+cost little. The interval each row falls in on each split column numbers
+the cells and picks the bitmasks, so a column is searched once per batch.
+The bitmasks are as narrow as the largest tree's leaves allow (uint8 up to
+8 leaves, then 16, 32 and 64 bits, and several 64-bit words beyond; as in
+V-QuickScorer), and one table lookup per (cell, tree) gives the leaf value:
+indexed by the bitmask itself up to 8 leaves, by its lowest set bit beyond.
 The nearest neighbors regressor standardizes its columns and finds
 neighbors with the toy bot's `_Standardizer` and `_nearest`; selection CV
 splits rows with the bot's `stratified_folds`.

@@ -359,12 +359,14 @@ def neighbour_searches(draw):
 
 class TestNearest:
     @settings(max_examples=300, deadline=None)
-    @given(case=neighbour_searches(), chunk=st.integers(1, 5))
-    def test_equals_the_first_k_of_a_stable_argsort(self, case, chunk):
+    @given(case=neighbour_searches(), block=st.integers(1, 400), sort_all=st.integers(0, 150))
+    def test_equals_the_first_k_of_a_stable_argsort(self, case, block, sort_all):
+        # blocks of one to every query row; blocks sorted in full and by partition
         train, query, k = case
         d = np.sqrt(((query[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        with mock.patch.object(metadata, "_NEIGHBOUR_CHUNK", chunk):
+        with mock.patch.object(metadata, "_NEIGHBOUR_BLOCK", block), \
+                mock.patch.object(metadata, "_SORT_ALL", sort_all):
             index, dist = metadata._nearest(train, query, k)
         assert index.dtype == np.intp and np.array_equal(index, order)
         assert dist.tobytes() == np.take_along_axis(d, order, axis=1).tobytes()
@@ -374,6 +376,10 @@ class TestNearest:
         index, dist = metadata._nearest(train, np.array([[0.0], [2.0], [np.nan]]), 3)
         assert index.tolist() == [[4, 1, 3], [2, 0, 1], [0, 1, 2]]
         assert dist[:2].tolist() == [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+
+    def test_ties_at_the_kth_distance_keep_training_order_by_partition(self, monkeypatch):
+        monkeypatch.setattr(metadata, "_SORT_ALL", 0)  # the 3 x 6 block is small: sorted in full
+        self.test_ties_at_the_kth_distance_keep_training_order()
 
 
 class TestKnnClassifier:

@@ -257,12 +257,16 @@ def first_row_of_each_cell(trees, X):
     return np.sort(np.unique(sides, axis=0, return_index=True)[1])
 
 
+def counted_intervals(trees, X):
+    """Each row's interval on each column of `_cuts`: the number of cuts its value is not at most."""
+    return [(~(X[:, column, None] <= cuts)).sum(axis=1) for column, cuts, _ in trees._cuts]
+
+
 def densified_cells(trees, X):
     """Each row's cell and each cell's first row, the cells numbered densely after every column."""
     cell = np.zeros(X.shape[0], dtype=np.intp)
-    for column, cuts, _ in trees._cuts:
-        cell = np.unique(cell * (cuts.size + 1) + np.searchsorted(cuts, X[:, column]),
-                         return_inverse=True)[1]
+    for (_, cuts, _), interval in zip(trees._cuts, counted_intervals(trees, X)):
+        cell = np.unique(cell * (cuts.size + 1) + interval, return_inverse=True)[1]
     return cell, np.unique(cell, return_index=True)[1]
 
 
@@ -286,17 +290,17 @@ def combs(thresholds, values):
 
 
 class ScoredRows:
-    """Patches `_Trees.exit_leaves` to record the rows it scores and its (tree, row) pairs."""
+    """Patches `_Trees._leaf_values` to record the rows it scores and its (tree, row) pairs."""
 
     def __init__(self, monkeypatch):
         self.rows, self.sizes = [], []
-        exit_leaves = _Trees.exit_leaves
+        leaf_values = _Trees._leaf_values
 
-        def recording(trees, X, rows):
+        def recording(trees, intervals, rows):
             self.rows.extend(rows.tolist())
             self.sizes.append(trees.roots.size * rows.size)
-            return exit_leaves(trees, X, rows)
-        monkeypatch.setattr(_Trees, "exit_leaves", recording)
+            return leaf_values(trees, intervals, rows)
+        monkeypatch.setattr(_Trees, "_leaf_values", recording)
 
 
 def unique_cuts(trees):
@@ -306,6 +310,18 @@ def unique_cuts(trees):
     columns, starts = np.unique(pairs[:, 0], return_index=True)
     return list(zip(columns.astype(int).tolist(),
                     [c.tolist() for c in np.split(pairs[:, 1], starts[1:])]))
+
+
+def exit_leaves(trees, X, rows):
+    """The leaf each of `rows` reaches in each tree by masks, as (trees, rows).
+
+    The masks score a copy of the trees whose every node's value is its
+    number, so the values they look up are the leaves.
+    """
+    numbered = _Trees(**{**trees.arrays(), "value": np.arange(trees.feature.size, dtype=float)})
+    values = numbered._leaf_values(numbered._cells(X)[2], rows)
+    assert values.flags.c_contiguous and values.shape == (trees.roots.size, rows.size)
+    return values.astype(np.int64)
 
 
 def walked_leaves(trees, X, rows):
@@ -364,12 +380,14 @@ class TestForestPredict:
             scored = ScoredRows(monkeypatch)
             got = trees.predict(queries)
         assert got.tobytes() == expected.tobytes()
-        assert same_bits(trees._cells(queries), densified_cells(trees, queries))
+        cell, first, intervals = trees._cells(queries)
+        assert same_bits((cell, first), densified_cells(trees, queries))
+        assert same_bits(intervals, counted_intervals(trees, queries))
         # only the first row of each cell is scored, once and in every tree
         assert sorted(scored.rows) == first_row_of_each_cell(trees, queries).tolist()
         assert sum(scored.sizes) == trees.roots.size * len(scored.rows)
         rows = np.arange(queries.shape[0])
-        assert np.array_equal(trees.exit_leaves(queries, rows), walked_leaves(trees, queries, rows))
+        assert np.array_equal(exit_leaves(trees, queries, rows), walked_leaves(trees, queries, rows))
         assert [(c, cuts.tolist()) for c, cuts, _ in trees._cuts] == unique_cuts(trees)
 
     def test_a_batch_that_varies_one_column_walks_one_row_per_interval(self, monkeypatch):
@@ -399,6 +417,22 @@ class TestForestPredict:
         for roots in ([0], [0, 1]):
             stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], roots)
             assert stumps.predict(queries).tobytes() == np.zeros(50).tobytes()
+
+    @pytest.mark.parametrize("queries", [[[0.0]], [[1.0]], [[0.0], [1.0], [0.0]]])
+    def test_many_trees_sum_in_tree_order_for_one_row_and_many(self, queries):
+        # 101 stumps on one column: in tree order 1e16 absorbs every 1.0, summed pairwise not
+        n = 101
+        left = [1e16] + [1.0] * (n - 2) + [-1e16]
+        right = [-1e16] + [1.0] * (n - 2) + [1e16]
+        assert np.sum(left) != 0.0 and np.sum(right) != 0.0
+        stumps = _Trees([0, -1, -1] * n, [0.5, 0.0, 0.0] * n,
+                        [v for t in range(n) for v in (3 * t + 1, -1, -1)],
+                        [v for t in range(n) for v in (3 * t + 2, -1, -1)],
+                        [v for pair in zip(left, right) for v in (0.0, *pair)], 3 * np.arange(n))
+        queries = np.array(queries)
+        got = stumps.predict(queries)
+        assert got.tobytes() == tree_order_sum(stumps, queries).tobytes()
+        assert got.tolist() == [0.0] * queries.shape[0]
 
     def test_seeded_forest_is_pinned(self):
         # digests of the trees and predictions of the recursive per-tree builder;
@@ -441,10 +475,11 @@ class TestCellCodes:
         X[rng.integers(0, 900, 50), rng.integers(0, columns, 50)] = np.nan
         expected = densified_cells(trees, X)
         assert np.unique(expected[0]).size < X.shape[0]
-        assert same_bits(trees._cells(X), expected)
+        assert same_bits(trees._cells(X)[:2], expected)
         got = trees.predict(X)
         assert got.tobytes() == tree_order_sum(trees, X).tobytes()
-        monkeypatch.setattr(_Trees, "_cells", densified_cells)
+        monkeypatch.setattr(_Trees, "_cells", lambda trees, X: (*densified_cells(trees, X),
+                                                                counted_intervals(trees, X)))
         assert got.tobytes() == trees.predict(X).tobytes()
 
 
@@ -460,39 +495,85 @@ def assert_predicts_as_walked(trees, X):
     queries = np.tile(X[:1], (grid.shape[0], 1))
     queries[:, :2] = grid
     rows = np.arange(queries.shape[0])
-    assert np.array_equal(trees.exit_leaves(queries, rows), walked_leaves(trees, queries, rows))
+    assert np.array_equal(exit_leaves(trees, queries, rows), walked_leaves(trees, queries, rows))
     assert trees.predict(queries).tobytes() == tree_order_sum(trees, queries).tobytes()
+
+
+WIDTHS = {8: (np.uint8, 1), 9: (np.uint16, 1), 16: (np.uint16, 1), 17: (np.uint32, 1),
+          32: (np.uint32, 1), 33: (np.uint64, 1), 64: (np.uint64, 1), 65: (np.uint64, 2)}
+
+
+def assert_mask_type(trees, dtype, words):
+    """Full masks and every column's table in `dtype`, `words` of it per tree."""
+    top = trees._lookup[0]
+    assert top.dtype == dtype and top.shape == (trees.roots.size, words)
+    assert all(table.dtype == dtype and table.shape[1:] == top.shape
+               for _, _, table in trees._cuts)
+
+
+def training_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    # distinct values on both sides of 0.0, the 2nd column coarse so it ties
+    X = np.column_stack([rng.permutation(np.linspace(-1.0, 1.0, n)),
+                         np.round(rng.uniform(-1.0, 1.0, n), 1)])
+    return X, rng.normal(size=n)
+
+
+def assert_a_tree_of_n_leaves_predicts_as_walked(n):
+    X, y = training_rows(n, n)
+    tree = grow(X[:, :1], y, [np.arange(n)], min_leaf=1, max_depth=n)
+    assert leaf_count(tree) == [n]
+    assert_mask_type(tree, *WIDTHS[n])
+    assert_predicts_as_walked(tree, np.hstack([X[:, :1], X[:, :1]]))
 
 
 class TestManyLeaves:
     """Trees of more than 64 leaves take several mask words per tree."""
 
-    @staticmethod
-    def rows(n, seed):
-        rng = np.random.default_rng(seed)
-        # distinct values on both sides of 0.0, the 2nd column coarse so it ties
-        X = np.column_stack([rng.permutation(np.linspace(-1.0, 1.0, n)),
-                             np.round(rng.uniform(-1.0, 1.0, n), 1)])
-        return X, rng.normal(size=n)
+    rows = staticmethod(training_rows)
 
     def test_a_tree_of_three_words(self):
         X, y = self.rows(1000, 1)
         tree = _fit_regressor("cart_reg", X, y)
         assert leaf_count(tree)[0] >= 129
+        assert_mask_type(tree, np.uint64, -(-leaf_count(tree)[0] // 64))
         assert_predicts_as_walked(tree, X)
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_a_tree_of_64_or_65_leaves(self, n):
-        X, y = self.rows(n, n)
-        tree = grow(X[:, :1], y, [np.arange(n)], min_leaf=1, max_depth=n)
-        assert leaf_count(tree) == [n]
-        assert_predicts_as_walked(tree, np.hstack([X[:, :1], X[:, :1]]))
+        assert_a_tree_of_n_leaves_predicts_as_walked(n)
 
     def test_a_forest_whose_trees_straddle_64_leaves(self):
         X, y = self.rows(140, 3)
         sizes = [40, 63, 64, 65, 66, 129, 140]
         forest = grow(X, y, [np.arange(k) for k in sizes], min_leaf=1, max_depth=140)
         assert leaf_count(forest) == sizes
+        assert_mask_type(forest, np.uint64, 3)
+        assert_predicts_as_walked(forest, X)
+
+
+class TestMaskWidths:
+    """Masks take the narrowest unsigned type that holds the largest tree's leaves."""
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+    def test_a_tree_of_n_leaves(self, n):
+        assert_a_tree_of_n_leaves_predicts_as_walked(n)
+
+    @pytest.mark.parametrize("n", sorted(WIDTHS))
+    def test_a_forest_whose_largest_tree_has_n_leaves(self, n):
+        X, y = training_rows(n, n + 1)
+        sizes = [n // 2, n, 2, n - 1]
+        forest = grow(X, y, [np.arange(k) for k in sizes], min_leaf=1, max_depth=n)
+        assert leaf_count(forest) == sizes
+        assert_mask_type(forest, *WIDTHS[n])
+        assert_predicts_as_walked(forest, X)
+
+    def test_a_forest_whose_trees_straddle_8_leaves(self):
+        X, y = training_rows(9, 3)
+        sizes = [1, 3, 8, 9, 5]
+        forest = grow(X, y, [np.arange(k) for k in sizes], min_leaf=1, max_depth=9)
+        assert leaf_count(forest) == sizes
+        assert_mask_type(forest, np.uint16, 1)
         assert_predicts_as_walked(forest, X)
 
 
