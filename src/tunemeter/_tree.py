@@ -16,9 +16,10 @@ at once on padded (nodes, features, rows) arrays: a stable argsort and a
 rounding and the tie order, of a search over that node's rows alone.
 
 The grown trees are array-coded (`_Trees`): the node arrays of all trees
-concatenated in tree order, children as indices into them, one root per
-tree. A leaf has feature −1; every node keeps the mean of its rows. These
-arrays are the fitted model: `_Trees(**trees.arrays())` rebuilds it, and
+concatenated in tree order, each in preorder, and one root per tree. A
+leaf has feature −1; every node keeps the mean of its rows. Preorder fixes
+the children, so they are derived, not stored. These four arrays are the
+fitted model: `_Trees(**trees.arrays())` rebuilds it, and
 `_Trees.predict`, the mean over the trees of each row's leaf value, makes
 one tree or a forest a regressor.
 
@@ -92,62 +93,65 @@ _DE_BRUIJN = {np.uint16: _de_bruijn(np.uint16, 0x0F65),
               np.uint64: _de_bruijn(np.uint64, 0x03F79D71B4CB0A89)}
 
 
-class _Trees:
-    """Array-coded trees: concatenated node arrays and one root per tree.
+def _int32(name: str, values) -> np.ndarray:
+    """`values` as int32, or ValueError when they are not integers or int32 cannot hold them."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu" or not np.array_equal(array.astype(np.int32), array):
+        raise ValueError(f"{name} must be integers that int32 holds")
+    return array.astype(np.int32)
 
-    The arrays must code trees in strict preorder: equal lengths, roots that
-    start at node 0, strictly increase and lie in range, the children of
-    each inner node after it and before the next tree's root, its left child
-    the next node and its right child the first node after the left
-    subtree, and no NaN threshold at an inner node. So every walk ends
-    within its tree's nodes, a tree's leaves come in left-to-right order,
-    and arrays read from outside (a cache file) raise ValueError rather than
-    loop or score the wrong leaf.
+
+class _Trees:
+    """Array-coded trees: concatenated node arrays, each tree in preorder, one root per tree.
+
+    Node v splits on column `feature[v]` at `threshold[v]`, or is a leaf
+    (feature −1); `value[v]` is the mean of its rows. Preorder fixes the
+    children, so they are derived, not stored: an inner node's left child
+    is the next node and its right child the first node after its left
+    subtree (`left`, `right`; −1 at a leaf). Arrays of unequal length,
+    `feature` or `roots` that are not integers int32 holds, roots that do
+    not start at node 0 and strictly increase within the nodes, a NaN
+    threshold at an inner node, or a root's run of nodes (up to the next
+    root) that is not exactly one tree raise ValueError. So every walk ends
+    within its tree, a tree's leaves come left to right, and a cache file
+    cannot loop or score the wrong leaf.
     """
 
-    def __init__(self, feature, threshold, left, right, value, roots):
-        self.feature = np.asarray(feature, dtype=np.int32)
+    def __init__(self, feature, threshold, value, roots):
+        self.feature = _int32("feature", feature)
         self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=float)
-        self.roots = np.asarray(roots, dtype=np.int32)
+        self.roots = _int32("roots", roots)
         nodes = self.feature.shape
         if self.roots.ndim != 1 or self.roots.size == 0:
             raise ValueError("trees need a flat array of at least one root")
-        if len(nodes) != 1 or any(getattr(self, name).shape != nodes
-                                  for name in ("threshold", "left", "right", "value")):
+        if len(nodes) != 1 or self.threshold.shape != nodes or self.value.shape != nodes:
             raise ValueError("node arrays must be flat and of one length")
         if self.roots[0] != 0 or self.roots[-1] >= nodes[0] or np.any(np.diff(self.roots) <= 0):
             raise ValueError("roots must start at node 0, strictly increase and index the nodes")
-        inner = np.flatnonzero(self.feature >= 0)
-        # the end of each inner node's tree: the next tree's root, or the node count
-        end = np.append(self.roots[1:], nodes[0])[np.searchsorted(self.roots, inner,
-                                                                   side="right") - 1]
-        for child in (self.left[inner], self.right[inner]):
-            if np.any((child <= inner) | (child >= end)):
-                raise ValueError("children must follow their node within its tree")
-        # count[i]: inner nodes less leaves before node i. In preorder the subtree
-        # from node a ends at the first node after it whose count is count[a] - 1,
-        # so the left subtree of an inner node v, from v + 1, ends at the first
-        # node after v whose count is count[v]
-        step = np.where(self.feature >= 0, 1, -1)
-        count = np.cumsum(step) - step
-        by_count = np.argsort(count, kind="stable")
-        after = np.empty_like(by_count)  # the next node in count order
-        after[by_count[:-1]] = by_count[1:]
-        after[by_count[-1]] = -1
-        right = self.right[inner]
-        if (np.any(self.left[inner] != inner + 1) or np.any(right != after[inner])
-                or np.any(count[right] != count[inner])):
-            raise ValueError("an inner node's children must be the next node and the node "
-                             "after its left subtree")
-        if np.any(np.isnan(self.threshold[inner])):
+        split = self.feature >= 0
+        if np.any(np.isnan(self.threshold[split])):
             raise ValueError("inner nodes need thresholds that are not NaN")
+        # count[i]: inner nodes less leaves before node i. A run of nodes is one
+        # tree in preorder exactly when the count after each node stays at or
+        # above the count at the run's start up to its last node, where it falls
+        # below. The left subtree of an inner node v, from v + 1, then ends just
+        # before the first node after v whose count is count[v]: its right child
+        step = np.where(split, 1, -1)
+        count = np.cumsum(step) - step
+        size = np.diff(np.append(self.roots, nodes[0]))
+        below = count + step < np.repeat(count[self.roots], size)
+        if not np.array_equal(np.flatnonzero(below), self.roots + size - 1):
+            raise ValueError("each root's run of nodes must be exactly one tree in preorder")
+        by_count = np.argsort(count, kind="stable")
+        after = np.empty_like(by_count)  # the next node in count order, -1 after the last
+        after[by_count] = np.append(by_count[1:], -1)
+        self.left = np.where(split, np.arange(1, nodes[0] + 1), -1).astype(np.int32)
+        self.right = np.where(split, after, -1).astype(np.int32)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name)
-                for name in ("feature", "threshold", "left", "right", "value", "roots")}
+        """The node arrays that rebuild the trees; the children are derived from them."""
+        return {name: getattr(self, name) for name in ("feature", "threshold", "value", "roots")}
 
     def _leaf_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """The leaves in node order (each tree's left to right) and each tree's first one."""
@@ -378,9 +382,9 @@ def grow(
     min_rows = max(min_split, 2 * min_leaf)
     # the nodes of all trees in visit order, as flat lists of numbers: many
     # small lists alive for the whole fit would cost the garbage collector
-    owner, feature, threshold, left, right, value = [], [], [], [], [], []
+    owner, feature, threshold, value = [], [], [], []
     # per tree, the nodes still to visit, next on top:
-    # (rows, depth, parent, side, mean of y over rows, whether to search a split)
+    # (rows, depth, mean of y over rows, whether to search a split)
     stacks = []
     min_gain = []
     for sample in samples:
@@ -389,7 +393,7 @@ def grow(
         min_gain.append(cp * float((ys * ys).sum() - ys.sum() ** 2 / ys.size))
         search = max_depth > 0 and rows.size >= min_rows and ys.min() != ys.max()
         # np.add.reduce(ys) / n is ys.mean(), without the call overhead
-        stacks.append([(rows, 0, -1, 0, float(np.add.reduce(ys) / rows.size), search)])
+        stacks.append([(rows, 0, float(np.add.reduce(ys) / rows.size), search)])
     live = list(range(len(samples)))
     while live:
         splitting = []  # (tree, node, rows, depth)
@@ -397,14 +401,10 @@ def grow(
         for t in live:
             stack = stacks[t]
             while stack:  # visit nodes up to the next one that searches a split
-                rows, depth, parent, side, mean, search = stack.pop()
-                if parent >= 0:
-                    (right if side else left)[parent] = len(owner)
+                rows, depth, mean, search = stack.pop()
                 owner.append(t)
                 feature.append(-1)
                 threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
                 value.append(mean)
                 if search:
                     splitting.append((t, len(owner) - 1, rows, depth))
@@ -440,21 +440,17 @@ def grow(
                 i = at[c]
                 feature[node], threshold[node] = column[c], cut_at[c]
                 deeper = depth + 1 < max_depth
-                stacks[t].append((sorted_rows[c, i:n].copy(), depth + 1, node, 1,
+                stacks[t].append((sorted_rows[c, i:n].copy(), depth + 1,
                                   float(np.add.reduce(sorted_y[c, i:n]) / (n - i)),
                                   deeper and n - i >= min_rows and not right_constant[c]))
-                stacks[t].append((sorted_rows[c, :i].copy(), depth + 1, node, 0,
+                stacks[t].append((sorted_rows[c, :i].copy(), depth + 1,
                                   float(np.add.reduce(sorted_y[c, :i]) / i),
                                   deeper and i >= min_rows and not left_constant[c]))
         live = [t for t in live if stacks[t]]
     # each tree's nodes together, in tree order and within a tree in preorder
     order = np.argsort(owner, kind="stable")
-    moved = np.empty_like(order)
-    moved[order] = np.arange(order.size)
-    left, right = np.array(left)[order], np.array(right)[order]
     roots = np.searchsorted(np.array(owner)[order], np.arange(len(samples)))
     return _Trees(np.array(feature)[order], np.array(threshold)[order],
-                  np.where(left >= 0, moved[left], -1), np.where(right >= 0, moved[right], -1),
                   np.array(value)[order], roots)
 
 

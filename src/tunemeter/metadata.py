@@ -366,16 +366,17 @@ def stratified_folds(y: np.ndarray, k_folds: int, rng: np.random.Generator) -> l
         raise ValueError("need at least 2 folds")
     if k_folds > y.size:
         raise ValueError(f"fold count {k_folds} exceeds {y.size} observations")
-    folds: list[list[int]] = [[] for _ in range(k_folds)]
+    fold = np.full(y.size, -1)
     for cls in np.unique(y):
         idx = rng.permutation(np.flatnonzero(y == cls))
         if idx.size < k_folds:
             raise ValueError(
                 f"fold count {k_folds} exceeds count {idx.size} of class {cls}"
             )
-        for i, chunk in enumerate(np.array_split(idx, k_folds)):
-            folds[i].extend(int(j) for j in chunk)
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        # the chunk sizes of np.array_split: the first size % k chunks hold one more
+        sizes = idx.size // k_folds + (np.arange(k_folds) < idx.size % k_folds)
+        fold[idx] = np.repeat(np.arange(k_folds), sizes)
+    return [np.flatnonzero(fold == i) for i in range(k_folds)]
 
 
 _FOLD_MEASURES = {

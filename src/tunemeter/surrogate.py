@@ -32,7 +32,8 @@ candidates once with the `ConfigEncoder` its surrogates share, and each
 surrogate scores that matrix with `predict_encoded`.
 
 The surrogate cache stores a regressor's arrays as `.npz` beside a header
-and rebuilds the regressor from them without unpickling.
+and rebuilds the regressor from them without unpickling. Format 5 stores
+trees as `feature`, `threshold`, `value` and `roots`; children are derived.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 KIND_ORDER = ("forest_reg", "cart_reg", "knn_reg", "linear", "constant")
 # hashed into every cache key and stored in every cache file; bump it when
 # the stored arrays change
-_CACHE_FORMAT = 4
+_CACHE_FORMAT = 5
 
 
 # -- encoding --------------------------------------------------------------------

@@ -130,3 +130,36 @@ def encode_rows(space, configs):
                     out[r, col + len(p.levels)] = 1.0
                 col += len(p.levels) + p.is_conditional
     return out
+
+
+def parse_preorder_trees(inner, roots):
+    """Each root's run of nodes parsed as one tree in preorder, by recursive descent.
+
+    `inner[v]` says whether node v splits; the run of a root ends at the next
+    root or after the last node. A node consumes itself and, when inner, its
+    left subtree and then its right one. Returns the (left, right) child
+    lists, -1 at a leaf, or None when the roots do not start at node 0 and
+    strictly increase within the nodes, or a run ends before or after its tree.
+    """
+    n = len(inner)
+    if not roots or roots[0] != 0 or roots[-1] >= n or any(
+            a >= b for a, b in zip(roots, roots[1:])):
+        return None
+    left, right = [-1] * n, [-1] * n
+
+    def subtree(v, end):
+        """The node after the subtree from node v, or None when the run ends inside it."""
+        if v >= end:
+            return None
+        if not inner[v]:
+            return v + 1
+        after_left = subtree(v + 1, end)
+        if after_left is None:
+            return None
+        left[v], right[v] = v + 1, after_left
+        return subtree(after_left, end)
+
+    for root, end in zip(roots, [*roots[1:], n]):
+        if subtree(root, end) != end:
+            return None
+    return left, right

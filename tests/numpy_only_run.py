@@ -3,14 +3,18 @@
 numpy is the package's only runtime dependency. This script makes any
 import of scipy fail, imports each module, scores one toy learner by
 cross-validated AUC, ranks two surrogate kinds by CV R^2 and Kendall's
-tau, and runs one random-mode and one grid-mode search on fitted
-surrogates. Run it with only numpy installed: `python tests/numpy_only_run.py`
-(add `src` to PYTHONPATH when the package is not installed).
+tau, fits a few-tree forest into a temporary cache directory and loads it
+back (an `.npz` read without pickles) with byte-equal predictions, and
+runs one random-mode and one grid-mode search on fitted surrogates. Run it
+with only numpy installed: `python tests/numpy_only_run.py` (add `src` to
+PYTHONPATH when the package is not installed).
 """
 
 import importlib
+import os
 import pkgutil
 import sys
+import tempfile
 
 sys.modules["scipy"] = None  # `import scipy` and `from scipy import ...` now raise ImportError
 
@@ -36,6 +40,13 @@ print("auc", cross_validate(learner, config, dataset, 4, ("auc",), seed=0)["auc"
 (meta,) = generate_bot_data([learner], [dataset], rows_per_pair=12, seed=0).values()
 report = evaluate_surrogates(meta, "auc", kinds=("knn_reg", "constant"), reps=1, folds=3)
 print("r2, tau", report.mean_by_kind())
+with tempfile.TemporaryDirectory() as cache:
+    fitted, loaded = (fit_all_surrogates(meta, "auc", kind="forest_reg", cache_dir=cache,
+                                         n_trees=3)[dataset.info.id] for _ in range(2))
+    assert [name.endswith(".npz") for name in os.listdir(cache)] == [True]
+X = fitted.encoder.encode_configs([row.config for row in meta.rows])
+assert fitted.predict_encoded(X).tobytes() == loaded.predict_encoded(X).tobytes()
+print("cached forest predicts", X.shape[0], "rows as fitted")
 models = fit_all_surrogates(meta, "auc", kind="cart_reg")
 defaults = compute_defaults(models, meta.space, RiskTransform("none"), SummarySpec("mean"),
                             OptimizerSpec(mode="random", budget=500))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_space, smooth_sine_meta
+from tunemeter._tree import _Trees
 from tunemeter.hyperspace import (
     bundled_package_defaults,
     bundled_space,
@@ -337,6 +338,12 @@ class TestSelectSurrogate:
         assert select_surrogate(report) == "forest_reg"
 
 
+def _tree_children(arrays):
+    """The left and right child arrays of stored tree node arrays, as format 4 kept them."""
+    trees = _Trees(**{name: arrays[name] for name in ("feature", "threshold", "value", "roots")})
+    return trees.left, trees.right
+
+
 class TestCache:
     def test_cache_round_trip(self, tmp_path):
         meta = smooth_sine_meta(n_rows=60, seed=4)
@@ -396,29 +403,66 @@ class TestCache:
         with pytest.raises(ValueError, match=path.name):
             fit_all_surrogates(meta, "brier", kind=kind, seed=1, cache_dir=tmp_path, **params)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda a: {"left": np.where(a["feature"] >= 0, np.arange(a["left"].size), -1)},
-        lambda a: {"right": np.where(a["feature"] >= 0, a["roots"][-1], -1)},
-        lambda a: {"threshold": np.where(a["feature"] >= 0, np.nan, a["threshold"])},
-        lambda a: {"value": a["value"][:-1]},
-        lambda a: {"roots": a["roots"][::-1]},
-        lambda a: {"feature": np.where(a["feature"] >= 0, 3, a["feature"])},
-        # right subtrees stored before left ones: a walk still ends, leaf masks would not
-        lambda a: {"left": a["right"], "right": a["left"]},
-    ], ids=["self_loop", "across_trees", "nan_threshold", "short_value", "roots_reversed",
-            "column_past_the_encoder", "right_before_left"])
-    def test_cache_file_that_is_not_trees_in_preorder_rejected(self, tmp_path, corrupt):
+    @staticmethod
+    def cached_forest(tmp_path):
+        """Meta-data, the cache file of its 3-tree forest, and the file's arrays."""
         meta = smooth_sine_meta(n_rows=60, seed=4)
         fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1, cache_dir=tmp_path,
                            n_trees=3)
         (path,) = tmp_path.glob("*.npz")
         with np.load(path) as npz:
-            stored = dict(npz)
-        np.savez(path, **{**stored, **corrupt(stored)})
-        with pytest.raises(ValueError, match=path.name):
+            return meta, path, dict(npz)
+
+    @staticmethod
+    def refusal(meta, path, arrays):
+        """The ValueError naming the file that loading `arrays` from it raises."""
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=path.name) as refused:
             models = fit_all_surrogates(meta, "brier", kind="forest_reg", seed=1,
-                                        cache_dir=tmp_path, n_trees=3)
+                                        cache_dir=path.parent, n_trees=3)
             models["d0"].predict_encoded(np.linspace(0.0, 6.0, 7)[:, None])
+        return refused.value
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: {"threshold": np.where(a["feature"] >= 0, np.nan, a["threshold"])},
+        lambda a: {"value": a["value"][:-1]},
+        lambda a: {"roots": a["roots"][::-1]},
+        lambda a: {"feature": np.where(a["feature"] >= 0, 3, a["feature"])},
+        lambda a: {"roots": a["roots"] + np.array([0, 1, 0], dtype=a["roots"].dtype)},
+        # a format-4 file: children stored beside the node arrays
+        lambda a: {**dict(zip(("left", "right"), _tree_children(a))), "format": np.array(4)},
+        lambda a: dict(zip(("left", "right"), _tree_children(a))),
+    ], ids=["nan_threshold", "short_value", "roots_reversed", "column_past_the_encoder",
+            "root_inside_a_tree", "format_4_with_children", "children_beside_format_5"])
+    def test_cache_file_that_is_not_trees_in_preorder_rejected(self, tmp_path, corrupt):
+        meta, path, stored = self.cached_forest(tmp_path)
+        assert len(stored["roots"]) == 3
+        self.refusal(meta, path, {**stored, **corrupt(stored)})
+
+    def test_cache_file_with_any_node_flipped_rejected(self, tmp_path):
+        # a split turned leaf or a leaf turned split (on the encoder's one column)
+        # breaks the run of its tree, which the trees' shape check refuses
+        meta, path, stored = self.cached_forest(tmp_path)
+        feature = stored["feature"]
+        assert 20 < (feature >= 0).sum() and 20 < (feature < 0).sum()
+        for v in range(feature.size):
+            flipped = feature.copy()
+            flipped[v] = -1 if feature[v] >= 0 else 0
+            refused = self.refusal(meta, path, {**stored, "feature": flipped})
+            assert "exactly one tree" in str(refused.__cause__)
+
+    @pytest.mark.parametrize("name", ["feature", "roots"])
+    def test_cache_file_with_a_wrapped_or_fractional_entry_rejected(self, tmp_path, name):
+        # a plain int32 cast would wrap or truncate each of these without an error
+        meta, path, stored = self.cached_forest(tmp_path)
+        for i in range(stored[name].size):
+            wrapped = stored[name].astype(np.int64)
+            wrapped[i] += 2 ** 32
+            fractional = stored[name].astype(float)
+            fractional[i] += 0.25
+            for changed in (wrapped, fractional):
+                refused = self.refusal(meta, path, {**stored, name: changed})
+                assert "int32" in str(refused.__cause__)
 
     @pytest.mark.parametrize("kind", SURROGATE_KINDS)
     def test_every_kind_round_trips(self, tmp_path, kind):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bruteforce import parse_preorder_trees
 from tunemeter import _tree
 from tunemeter._tree import _Trees, grow
 from tunemeter.surrogate import _fit_regressor
@@ -272,21 +273,16 @@ def densified_cells(trees, X):
 
 def combs(thresholds, values):
     """One tree per column: a chain of splits on it, each with a leaf on its left."""
-    feature, threshold, left, right, value, roots = [], [], [], [], [], []
+    feature, threshold, value, roots = [], [], [], []
     for column, (cuts, leaf_values) in enumerate(zip(thresholds, values)):
         roots.append(len(feature))
         for t in cuts:
-            node = len(feature)
             feature += [column, -1]
             threshold += [t, 0.0]
-            left += [node + 1, -1]
-            right += [node + 2, -1]
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
         value += [v for leaf in leaf_values[:-1] for v in (0.0, leaf)] + [leaf_values[-1]]
-    return _Trees(feature, threshold, left, right, value, roots)
+    return _Trees(feature, threshold, value, roots)
 
 
 class ScoredRows:
@@ -415,7 +411,7 @@ class TestForestPredict:
         assert scored.sizes == [2 * 9] * 18 + [9]
         # the sum starts from 0.0, so leaves of -0.0 predict +0.0, for one tree too
         for roots in ([0], [0, 1]):
-            stumps = _Trees([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [-0.0, -0.0], roots)
+            stumps = _Trees([-1] * len(roots), [0.0] * len(roots), [-0.0] * len(roots), roots)
             assert stumps.predict(queries).tobytes() == np.zeros(50).tobytes()
 
     @pytest.mark.parametrize("queries", [[[0.0]], [[1.0]], [[0.0], [1.0], [0.0]]])
@@ -426,8 +422,6 @@ class TestForestPredict:
         right = [-1e16] + [1.0] * (n - 2) + [1e16]
         assert np.sum(left) != 0.0 and np.sum(right) != 0.0
         stumps = _Trees([0, -1, -1] * n, [0.5, 0.0, 0.0] * n,
-                        [v for t in range(n) for v in (3 * t + 1, -1, -1)],
-                        [v for t in range(n) for v in (3 * t + 2, -1, -1)],
                         [v for pair in zip(left, right) for v in (0.0, *pair)], 3 * np.arange(n))
         queries = np.array(queries)
         got = stumps.predict(queries)
@@ -586,37 +580,122 @@ def test_cuts_of_random_forests_are_the_unique_reference(seed):
     assert all(table.shape[:2] == (cuts.size + 1, 30) for _, cuts, table in forest._cuts)
 
 
+def preorder_tree(draw, most):
+    """The inner/leaf pattern of one random tree in preorder, of at most `most` splits."""
+    inner, open_nodes = [], 1
+    while open_nodes:
+        split = sum(inner) < most and draw(st.booleans())
+        inner.append(split)
+        open_nodes += 1 if split else -1
+    return inner
+
+
+@st.composite
+def inner_patterns(draw):
+    """Inner/leaf patterns and root lists: forests in preorder, forests with one node
+    flipped or one root moved, and random patterns with random roots."""
+    kind = draw(st.sampled_from(["forest", "flipped", "moved", "random"]))
+    if kind == "random":
+        inner = draw(st.lists(st.booleans(), max_size=20))
+        n = len(inner)
+        roots = draw(st.one_of(
+            st.lists(st.integers(-1, n), max_size=4),
+            st.sets(st.integers(1, max(n - 1, 1)), max_size=3).map(lambda r: [0, *sorted(r)])))
+        return inner, roots
+    inner, roots = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        roots.append(len(inner))
+        inner += preorder_tree(draw, draw(st.integers(0, 6)))
+    if kind == "flipped":
+        v = draw(st.integers(0, len(inner) - 1))
+        inner[v] = not inner[v]
+    elif kind == "moved":
+        roots[draw(st.integers(0, len(roots) - 1))] = draw(st.integers(-1, len(inner)))
+    return inner, roots
+
+
 class TestNodeArrays:
     """Node arrays that are not trees in preorder raise instead of walking forever."""
 
     # two trees of three nodes: a split at the root and two leaves
     GOOD = dict(feature=[0, -1, -1, 0, -1, -1], threshold=[0.5, 0, 0, 0.2, 0, 0],
-                left=[1, -1, -1, 4, -1, -1], right=[2, -1, -1, 5, -1, -1],
                 value=[0.0, 1.0, 2.0, 0.0, 3.0, 4.0], roots=[0, 3])
 
     def test_preorder_trees_are_accepted(self):
         trees = _Trees(**self.GOOD)
+        assert trees.left.tolist() == [1, -1, -1, 4, -1, -1]
+        assert trees.right.tolist() == [2, -1, -1, 5, -1, -1]
         assert trees.predict(np.array([[0.1], [0.3], [0.9]])).tolist() == [2.0, 2.5, 3.0]
 
+    def test_a_right_child_after_a_split_left_subtree_is_derived(self):
+        # node 1 splits into nodes 2 and 3, so the root's right child is node 4
+        trees = _Trees([0, 0, -1, -1, -1], [0.5, 0.2, 0, 0, 0], [0.0, 0.0, 1.0, 2.0, 3.0], [0])
+        assert trees.left.tolist() == [1, 2, -1, -1, -1]
+        assert trees.right.tolist() == [4, 3, -1, -1, -1]
+        assert trees.predict(np.array([[0.1], [0.3], [0.9]])).tolist() == [1.0, 2.0, 3.0]
+
     @pytest.mark.parametrize("change", [
-        {"right": [2, -1, -1, 1, -1, -1]},  # backwards
-        {"right": [3, -1, -1, 5, -1, -1]},  # into the next tree
-        {"right": [2, -1, -1, 6, -1, -1]},  # past the end
         {"threshold": [0.5, 0, 0, np.nan, 0, 0]},
         {"value": [0.0, 1.0, 2.0, 0.0, 3.0]},
         {"feature": [[0, -1, -1, 0, -1, -1]]},
         {"roots": [3, 0]}, {"roots": [0, 0]}, {"roots": [0, 6]}, {"roots": [-1, 3]},
         {"roots": []}, {"roots": [[0, 3]]},
-        {"left": [2, -1, -1, 4, -1, -1], "right": [1, -1, -1, 5, -1, -1]},  # right leaf first
-        # a right child inside the left subtree: node 1 splits into nodes 2 and 4
-        dict(feature=[0, 0, -1, -1, -1], threshold=[0.5, 0.2, 0, 0, 0], left=[1, 2, -1, -1, -1],
-             right=[3, 4, -1, -1, -1], value=[0.0] * 5, roots=[0]),
         {"roots": [1, 3]},  # a node before the first tree
+        {"roots": [0, 2]},  # a root inside the first tree
+        {"roots": [0]},  # one root for two trees: the run goes on after its tree ends
+        {"feature": [-1, -1, -1, 0, -1, -1]},  # the first run ends after one leaf
+        {"feature": [0, 0, -1, 0, -1, -1]},  # the first run ends inside its tree
+        {"feature": [0, -1, -1, 0, -1, 0]},  # the last run ends inside its tree
+        # not integers, or integers that int32 would wrap or truncate
+        {"feature": [0.7, -1, -1, 0, -1, -1]},
+        {"feature": [2 ** 32, -1, -1, 0, -1, -1]},
+        {"feature": np.array([0, 2 ** 64 - 1, 2 ** 64 - 1, 0, 2 ** 64 - 1, 2 ** 64 - 1],
+                             dtype=np.uint64)},
+        {"feature": [True, False, False, True, False, False]},
+        {"roots": [0.0, 3.0]}, {"roots": [0, 3 + 2 ** 32]},
     ])
     def test_arrays_that_are_not_preorder_trees_raise(self, change):
         with pytest.raises(ValueError):
             _Trees(**{**self.GOOD, **change})
 
-    def test_a_node_that_is_its_own_child_raises_before_any_walk(self):
+    def test_a_split_without_children_raises_before_any_walk(self):
         with pytest.raises(ValueError):
-            _Trees([0], [0.5], [0], [0], [1.0], [0])
+            _Trees([0], [0.5], [1.0], [0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=inner_patterns())
+    def test_accepts_exactly_the_parsed_trees_with_their_children(self, case):
+        inner, roots = case
+        n = len(inner)
+        parsed = parse_preorder_trees(inner, roots)
+        arrays = dict(feature=np.where(inner, 0, -1).astype(np.int64), threshold=np.full(n, 0.5),
+                      value=np.zeros(n), roots=np.array(roots, dtype=np.int64))
+        if parsed is None:
+            with pytest.raises(ValueError):
+                _Trees(**arrays)
+        else:
+            trees = _Trees(**arrays)
+            assert (trees.left.tolist(), trees.right.tolist()) == parsed
+            assert trees.left.dtype == trees.right.dtype == np.int32
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=fitted_trees_and_queries())
+    def test_fitted_trees_rebuild_from_their_arrays(self, case):
+        trees, queries = case
+        assert sorted(trees.arrays()) == ["feature", "roots", "threshold", "value"]
+        parsed = parse_preorder_trees((trees.feature >= 0).tolist(), trees.roots.tolist())
+        assert (trees.left.tolist(), trees.right.tolist()) == parsed
+        rebuilt = _Trees(**trees.arrays())
+        assert rebuilt.predict(queries).tobytes() == trees.predict(queries).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=growth())
+    def test_grown_trees_rebuild_from_their_arrays(self, case):
+        X, y, samples, params, seed = case
+        trees = grow(X, y, samples, generators(seed, len(samples)), **params)
+        parsed = parse_preorder_trees((trees.feature >= 0).tolist(), trees.roots.tolist())
+        assert (trees.left.tolist(), trees.right.tolist()) == parsed
+        rebuilt = _Trees(**trees.arrays())
+        rows = np.arange(X.shape[0])
+        assert same_bits([rebuilt.predict(X), walked_leaves(rebuilt, X, rows)],
+                         [trees.predict(X), walked_leaves(trees, X, rows)])
