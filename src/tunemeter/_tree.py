@@ -6,14 +6,20 @@ splits, its leaf means are class probabilities, and cp keeps its meaning.
 
 `grow` fits many trees at once, each on its own sample of rows: the
 bootstraps of a forest, the training sets of CV folds, or one tree. It
-steps every tree in lockstep: in a step each tree visits its next nodes in
-preorder (left subtree before right) up to one that needs a split search.
-So a tree that subsamples features draws its subsets from its own
-generator in the same order as a tree grown alone, and every tree is
-bit-identical to the tree grown alone. The split searches of a step run
-at once on padded (nodes, features, rows) arrays: a stable argsort and a
-`cumsum` along the rows give each node the prefix sums, and so the
-rounding and the tie order, of a search over that node's rows alone.
+steps every tree in lockstep, and every tree is bit-identical to the tree
+grown alone. A tree that subsamples features (a forest's) steps once per
+split search: in a step it visits its next nodes in preorder (left subtree
+before right) up to one that searches, so it takes its column subsets in
+the order a tree grown alone draws them. It draws them in bulk, few
+`Generator.integers` calls per tree that consume its generator exactly as
+one `Generator.choice` call per search would (`_subsets`), and may leave
+the generator past the draws it used. A tree that draws nothing (CART)
+steps once per level: every open node searches in the same step. Either
+way the nodes are put in preorder at the end, by their paths from the
+root. The split searches of a step run at once on padded (nodes, features,
+rows) arrays: a stable argsort and a `cumsum` along the rows give each
+node the prefix sums, and so the rounding and the tie order, of a search
+over that node's rows alone.
 
 The grown trees are array-coded (`_Trees`): the node arrays of all trees
 concatenated in tree order, each in preorder, and one root per tree. A
@@ -65,6 +71,7 @@ import numpy as np
 
 _GROW_CHUNK = 1 << 14  # elements of one padded (nodes, features, rows) search block
 _PREDICT_CHUNK = 1 << 13  # (tree, row) pairs scored at once
+_FIRST_DRAW = 1 << 9  # most bounded integers in a tree's first bulk draw of column subsets
 _ALL = np.uint64(2 ** 64 - 1)
 _LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 _MASK_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -367,9 +374,17 @@ def grow(
     (children of `min_leaf` rows or more, cut at the halved midpoint of
     two neighbouring distinct values) cuts the SSE by `cp` × the tree's
     root SSE or more; the first best (feature, position) wins. The cut is
-    measured against the node sums of the last feature searched. With
-    `rngs` and 0 < `split_features` < columns, each splitting node searches
-    `split_features` columns drawn from its tree's generator.
+    measured against the node sums of the last feature searched.
+
+    With `rngs` and 0 < `split_features` < columns, each splitting node
+    searches `split_features` columns drawn from its tree's generator, the
+    subset `Generator.choice` would draw there, sorted. A tree then steps
+    one split search at a time, in preorder, taking its subsets in the
+    order a tree grown alone draws them; they come from few bulk draws
+    (`_subsets`), which may advance its generator past the draws its
+    searches use. Other trees draw nothing and step one level at a time:
+    every open node searches in the same step. Either way the nodes are
+    put in preorder at the end, by their paths from the root.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -382,43 +397,51 @@ def grow(
     min_rows = max(min_split, 2 * min_leaf)
     # the nodes of all trees in visit order, as flat lists of numbers: many
     # small lists alive for the whole fit would cost the garbage collector
-    owner, feature, threshold, value = [], [], [], []
-    # per tree, the nodes still to visit, next on top:
-    # (rows, depth, mean of y over rows, whether to search a split)
+    owner, depths, codes, feature, threshold, value = [], [], [], [], [], []
+    # per tree, the nodes still to visit, next on top: (rows, depth, mean of y
+    # over rows, whether to search a split, path code: 1 at the root, 2c and
+    # 2c + 1 at the children of the node of code c)
     stacks = []
     min_gain = []
-    for sample in samples:
+    # per tree that subsamples, its column subsets in the order it searches
+    subsets = []
+    for t, sample in enumerate(samples):
         rows = np.asarray(sample, dtype=np.intp)
         ys = y[rows]
         min_gain.append(cp * float((ys * ys).sum() - ys.sum() ** 2 / ys.size))
         search = max_depth > 0 and rows.size >= min_rows and ys.min() != ys.max()
         # np.add.reduce(ys) / n is ys.mean(), without the call overhead
-        stacks.append([(rows, 0, float(np.add.reduce(ys) / rows.size), search)])
+        stacks.append([(rows, 0, float(np.add.reduce(ys) / rows.size), search, 1)])
+        # a tree whose root does not search draws nothing; one that does makes
+        # fewer than rows // min_leaf searches, as every leaf holds min_leaf
+        # rows or more and one that searched holds twice that
+        subsets.append(_subsets(rngs[t], cols, split_features,
+                                rows.size // max(min_leaf, 1) - 1)
+                       if subsample and search else None)
     live = list(range(len(samples)))
     while live:
         splitting = []  # (tree, node, rows, depth)
         columns = []
         for t in live:
             stack = stacks[t]
-            while stack:  # visit nodes up to the next one that searches a split
-                rows, depth, mean, search = stack.pop()
+            while stack:  # visit nodes up to the next one that searches a split, or all
+                rows, depth, mean, search, code = stack.pop()
                 owner.append(t)
+                depths.append(depth)
+                codes.append(code)
                 feature.append(-1)
                 threshold.append(0.0)
                 value.append(mean)
                 if search:
                     splitting.append((t, len(owner) - 1, rows, depth))
                     if subsample:
-                        drawn = rngs[t].choice(cols, size=split_features, replace=False)
-                        drawn.sort()
-                        columns.append(drawn)
-                    else:
-                        columns.append(every_column)
-                    break
+                        columns.append(next(subsets[t]))
+                        break
         if not splitting:
             break
         size = np.array([rows.size for _, _, rows, _ in splitting])
-        columns = np.array(columns)
+        columns = (np.array(columns) if subsample
+                   else np.broadcast_to(every_column, (len(splitting), cols)))
         # largest nodes first, so that each block pads its rows to a near width
         by_size, start = np.argsort(-size, kind="stable"), 0
         while start < by_size.size:
@@ -442,16 +465,71 @@ def grow(
                 deeper = depth + 1 < max_depth
                 stacks[t].append((sorted_rows[c, i:n].copy(), depth + 1,
                                   float(np.add.reduce(sorted_y[c, i:n]) / (n - i)),
-                                  deeper and n - i >= min_rows and not right_constant[c]))
+                                  deeper and n - i >= min_rows and not right_constant[c],
+                                  2 * codes[node] + 1))
                 stacks[t].append((sorted_rows[c, :i].copy(), depth + 1,
                                   float(np.add.reduce(sorted_y[c, :i]) / i),
-                                  deeper and i >= min_rows and not left_constant[c]))
+                                  deeper and i >= min_rows and not left_constant[c],
+                                  2 * codes[node]))
         live = [t for t in live if stacks[t]]
-    # each tree's nodes together, in tree order and within a tree in preorder
-    order = np.argsort(owner, kind="stable")
-    roots = np.searchsorted(np.array(owner)[order], np.arange(len(samples)))
+    # each tree's nodes together, in tree order and within a tree in preorder:
+    # by path, a node before its subtree and a left subtree before a right
+    # one. Shifted to the greatest depth, a node's code is the least of its
+    # subtree's, shared only with the nodes on its leftmost path, which come
+    # later by depth. Codes of paths longer than 62 steps are Python integers
+    depth = np.array(depths)
+    deepest = int(depth.max())
+    code = np.array(codes, dtype=np.int64 if deepest < 63 else object)
+    tree = np.array(owner)
+    order = np.lexsort((depth, code << (deepest - depth), tree))
+    roots = np.searchsorted(tree[order], np.arange(len(samples)))
     return _Trees(np.array(feature)[order], np.array(threshold)[order],
                   np.array(value)[order], roots)
+
+
+@functools.lru_cache(maxsize=64)
+def _bounds(cols: int, k: int, count: int) -> np.ndarray:
+    """The exclusive upper bounds of `count` successive `choice(cols, k, replace=False)` draws.
+
+    Each draw takes Floyd's k bounded integers, below cols − k + 1 up to below
+    cols, then k − 1 for its shuffle, below k down to below 2. Cached, so read-only.
+    """
+    bounds = np.tile(np.r_[cols - k + 1:cols + 1, k:1:-1], count)
+    bounds.flags.writeable = False
+    return bounds
+
+
+def _subsets(rng: np.random.Generator, cols: int, k: int, most: int):
+    """Yield the sorted subsets that successive `rng.choice(cols, k, replace=False)` draw.
+
+    `Generator.choice` without replacement draws a subset by Floyd's
+    algorithm (Bentley and Floyd, "A sample of brilliance", CACM 1987): for
+    i < k, an integer v at most cols − k + i, taken unless an earlier pick
+    holds it, when cols − k + i is taken instead. It then shuffles the k
+    picks with k − 1 more draws. Every draw is bounded by Lemire's method
+    (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+    2019), as `Generator.integers` draws, so one `integers` call over the
+    repeated bounds (`_bounds`) consumes the stream exactly as that many
+    `choice` calls do. The first call draws up to `most` subsets (fewer
+    when they would take more than `_FIRST_DRAW` integers), each later one
+    twice as many as the one before; each subset is rebuilt from its Floyd
+    draws when it is taken, and the shuffle draws only advance the stream.
+    (Beyond 10,000 columns `choice` may shuffle a range instead; these
+    subsets are then as uniform, but not its own.)
+    """
+    first, count = cols - k, max(1, min(most, _FIRST_DRAW // (2 * k - 1)))
+    while True:
+        bounds = _bounds(cols, k, count)
+        # one integer takes numpy's scalar path: the same draw, at a fifth of the cost
+        values = (rng.integers(0, bounds).tolist() if bounds.size > 1
+                  else [int(rng.integers(0, cols))])
+        count *= 2
+        for start in range(0, len(values), 2 * k - 1):
+            picked = []
+            for i, v in enumerate(values[start:start + k]):
+                picked.append(first + i if v in picked else v)
+            picked.sort()
+            yield picked
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:

@@ -39,12 +39,18 @@ class MeasureSpec:
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve via the rank-sum statistic with midrank ties.
 
-    The midranks are exact half-integers, scipy's average ranks; a NaN score gives NaN.
+    The midranks are exact half-integers, scipy's average ranks; a NaN score
+    gives NaN. Scores and labels of unequal shapes, or a label that is not 0
+    or 1, raise ValueError.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise ValueError("length mismatch between scores and labels")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    if n_pos + n_neg != labels.size:
+        raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
     if np.isnan(scores).any():
@@ -70,6 +76,8 @@ def brier(probs: Sequence[float], labels: Sequence[int]) -> float:
         raise ValueError("length mismatch between probabilities and labels")
     if np.any(probs < 0) or np.any(probs > 1):
         raise ValueError("probabilities must lie in [0, 1]")
+    if np.count_nonzero((labels != 0) & (labels != 1)):
+        raise ValueError("labels must be 0 or 1")
     return float(np.mean((probs - labels) ** 2))
 
 

@@ -36,6 +36,16 @@ class TestAuc:
         with pytest.raises(ValueError, match="both classes"):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1.0, 0.0, 0.5],
+                                        [1.0, 0.0, float("nan")]])
+    def test_labels_other_than_0_and_1_error(self, labels):
+        with pytest.raises(ValueError, match="0 or 1"):
+            auc([0.9, 0.1, 0.5], labels)
+
+    def test_length_mismatch_errors(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            auc([0.1, 0.2, 0.3], [0, 1])
+
     def test_complement_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -126,6 +136,11 @@ class TestAccuracyBrier:
             accuracy([1], [1, 0])
         with pytest.raises(ValueError):
             brier([0.5], [1, 0])
+
+    @pytest.mark.parametrize("labels", [[0, 2], [0, -1], [0.0, 0.5], [0.0, float("nan")]])
+    def test_brier_labels_other_than_0_and_1_error(self, labels):
+        with pytest.raises(ValueError, match="0 or 1"):
+            brier([0.2, 0.3], labels)
 
     def test_ranges(self):
         rng = np.random.default_rng(2)

@@ -3,6 +3,7 @@ the recursive one-tree builder it replaced, and trees grown together against
 trees grown alone."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,77 @@ class TestLockstepGrowth:
         monkeypatch.setattr(_tree, "_GROW_CHUNK", 50)
         blocks = grow(X, y, samples, generators(1, 12), split_features=2, min_leaf=2)
         assert all(same_bits(tree_arrays(whole, t), tree_arrays(blocks, t)) for t in range(12))
+
+    def test_search_blocks_split_a_level_without_changing_trees(self, monkeypatch):
+        # trees that draw no columns search a whole level at once; blocks of
+        # 50 elements split each level's nodes over many searches
+        rng = np.random.default_rng(5)
+        X, y = np.round(rng.normal(size=(90, 5)), 1), rng.normal(size=90)
+        samples = [rng.integers(0, 90, size=90) for _ in range(12)]
+        whole = grow(X, y, samples, split_features=0, min_leaf=2)
+        monkeypatch.setattr(_tree, "_GROW_CHUNK", 50)
+        blocks = grow(X, y, samples, split_features=0, min_leaf=2)
+        for t, sample in enumerate(samples):
+            reference = reference_tree(X[sample], y[sample], min_leaf=2)
+            assert same_bits(tree_arrays(whole, t), reference)
+            assert same_bits(tree_arrays(blocks, t), reference)
+
+    def test_a_tree_that_draws_nothing_searches_once_per_level(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, y = rng.normal(size=(256, 2)), rng.normal(size=256)
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[3]))  # the nodes of one padded search
+            return best_splits(*args)
+
+        best_splits = _tree._best_splits
+        monkeypatch.setattr(_tree, "_best_splits", counting)
+        grown = grow(X, y, [np.arange(256)], min_leaf=1)
+        reference = reference_tree(X, y, min_leaf=1)
+        assert same_bits(tree_arrays(grown, 0), reference)
+        # distinct rows: every node of two rows or more splits, so the nodes that
+        # search are the inner nodes, and their levels are the searches
+        feature, _, left, right, _ = reference
+        depth = np.zeros(feature.size, dtype=int)
+        for v in np.flatnonzero(feature >= 0):
+            depth[[left[v], right[v]]] = depth[v] + 1
+        levels = np.unique(depth[feature >= 0])
+        assert len(calls) == levels.size < sum(calls) == np.count_nonzero(feature >= 0)
+
+    def test_trees_deeper_than_62_levels_keep_preorder(self):
+        # each split cuts off the largest target alone, so the first tree is a
+        # chain 79 splits deep whose path codes outgrow int64
+        X, y = np.arange(80.0)[:, None], 3.0 ** np.arange(80)
+        samples = [np.arange(80), np.arange(30)]
+        grown = grow(X, y, samples, min_leaf=1, max_depth=100)
+        assert np.count_nonzero(grown.feature[:grown.roots[1]] >= 0) == 79
+        for t, sample in enumerate(samples):
+            assert same_bits(tree_arrays(grown, t),
+                             reference_tree(X[sample], y[sample], min_leaf=1, max_depth=100))
+
+
+@pytest.mark.parametrize("cols", range(2, 13))
+def test_bulk_subset_draws_are_numpy_choice_draws(cols, monkeypatch):
+    # a first draw large enough for every count, so it draws exactly `count`
+    monkeypatch.setattr(_tree, "_FIRST_DRAW", 1 << 12)
+    for k in range(1, cols):
+        for seed in range(50):
+            count = 1 + seed % 40
+            rng, twin = np.random.default_rng([seed, cols, k]), np.random.default_rng([seed, cols, k])
+            drawn = list(itertools.islice(_tree._subsets(rng, cols, k, count), count))
+            assert drawn == [np.sort(twin.choice(cols, k, replace=False)).tolist()
+                             for _ in range(count)]
+            assert rng.random() == twin.random()
+
+
+def test_later_bulk_draws_double():
+    # draws of 1, 2 and 4 subsets: four taken, seven drawn
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    drawn = list(itertools.islice(_tree._subsets(rng, 9, 3, 1), 4))
+    expected = [np.sort(twin.choice(9, 3, replace=False)).tolist() for _ in range(7)]
+    assert drawn == expected[:4]
+    assert rng.random() == twin.random()
 
 
 def tree_order_sum(trees, X):
