@@ -27,7 +27,8 @@ leaf has feature −1; every node keeps the mean of its rows. Preorder fixes
 the children, so they are derived, not stored. These four arrays are the
 fitted model: `_Trees(**trees.arrays())` rebuilds it, and
 `_Trees.predict`, the mean over the trees of each row's leaf value, makes
-one tree or a forest a regressor.
+one tree or a forest a regressor. The mask scorer below is the one reader
+of fitted trees, for `predict` and for the bot's CART folds.
 
 The split thresholds of each column cut the feature space into cells, and
 trees are constant on each cell: rows in one cell reach the same leaf in
@@ -114,14 +115,14 @@ class _Trees:
     Node v splits on column `feature[v]` at `threshold[v]`, or is a leaf
     (feature −1); `value[v]` is the mean of its rows. Preorder fixes the
     children, so they are derived, not stored: an inner node's left child
-    is the next node and its right child the first node after its left
-    subtree (`left`, `right`; −1 at a leaf). Arrays of unequal length,
-    `feature` or `roots` that are not integers int32 holds, roots that do
-    not start at node 0 and strictly increase within the nodes, a NaN
-    threshold at an inner node, or a root's run of nodes (up to the next
-    root) that is not exactly one tree raise ValueError. So every walk ends
-    within its tree, a tree's leaves come left to right, and a cache file
-    cannot loop or score the wrong leaf.
+    is the next node and its right child (`right`; −1 at a leaf) the first
+    node after its left subtree. Arrays of unequal length, `feature` or
+    `roots` that are not integers int32 holds, roots that do not start at
+    node 0 and strictly increase within the nodes, a NaN threshold at an
+    inner node, or a root's run of nodes (up to the next root) that is not
+    exactly one tree raise ValueError. So a tree's leaves come left to
+    right, an inner node's mask clears a run of its own tree's leaves, and
+    a cache file cannot make the mask scorer read another tree's leaf.
     """
 
     def __init__(self, feature, threshold, value, roots):
@@ -153,7 +154,6 @@ class _Trees:
         by_count = np.argsort(count, kind="stable")
         after = np.empty_like(by_count)  # the next node in count order, -1 after the last
         after[by_count] = np.append(by_count[1:], -1)
-        self.left = np.where(split, np.arange(1, nodes[0] + 1), -1).astype(np.int32)
         self.right = np.where(split, after, -1).astype(np.int32)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -247,22 +247,6 @@ class _Trees:
             out.append((int(column[start]), cuts[start:end], table))
             start = end
         return out
-
-    def leaves(self, X: np.ndarray, trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The leaf that row `rows[i]` of `X` reaches in tree `trees[i]`, for every i.
-
-        Only the (tree, row) pairs still at an inner node take another step.
-        The walk scores the bot's CART folds, each row in its own fold's tree.
-        """
-        flat, offset = X.ravel(), rows * X.shape[1]
-        node = self.roots[trees]
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            go_left = flat[offset[active] + self.feature[at]] <= self.threshold[at]
-            node[active] = at = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[at] >= 0]
-        return node
 
     def _leaf_values(self, intervals: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         """The value of the leaf each of `rows` reaches in each tree, as (trees, rows).

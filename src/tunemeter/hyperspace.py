@@ -331,8 +331,9 @@ def _gather(configs: Sequence[Configuration] | _Rows,
 def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configuration:
     """Build a full Configuration from (possibly partial) explicit values.
 
-    Missing or inactive parameters are filled with their placeholder; flags
-    are derived from the conditions. A name outside the space raises SpaceError.
+    A missing parameter takes its placeholder and an explicit value is kept,
+    also an inactive one (svm's package defaults keep `degree` 3); flags are
+    derived from the conditions. A name outside the space raises SpaceError.
     """
     unknown = [name for name in values if name not in space]
     if unknown:

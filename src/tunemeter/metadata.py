@@ -12,7 +12,8 @@ class 1 under each toy learner. kNN takes the share of positive labels
 among a row's k nearest training rows. The classification tree is the
 surrogates' CART tree (`_tree.grow`) on the 0/1 labels: a node's Gini cost
 there is 2 × its sum of squared errors, so the tree makes rpart's Gini
-splits, and cp, relative to the root impurity, is unchanged.
+splits, and cp, relative to the root impurity, is unchanged. Each fold's
+test rows are scored by the leaf masks of that fold's tree.
 
 The neighbour search (`_nearest`), the column standardizer
 (`_Standardizer`) and the k-fold split (`stratified_folds`) are the
@@ -35,7 +36,7 @@ import json
 import numpy as np
 
 from ._rng import _parallel_map, derive_rng, stable_hash
-from ._tree import grow
+from ._tree import _PREDICT_CHUNK, grow
 from .hyperspace import (
     Configuration,
     DatasetInfo,
@@ -338,8 +339,9 @@ def _fold_probabilities(
     """Each fold's predicted test probabilities.
 
     The folds of an elastic-net configuration train in one stacked descent,
-    and the trees of a CART configuration grow in one `grow` call; each
-    fold's test rows then walk that fold's tree.
+    and the trees of a CART configuration grow in one `grow` call. The test
+    rows of all folds are scored by the trees' leaf masks as in
+    `_Trees.predict`, and each row takes the value of its own fold's tree.
     """
     if spec.kind == "elasticnet_logreg":
         model = _ElasticNetLogReg(alpha=params["alpha"], lam=params["lambda"])
@@ -351,7 +353,12 @@ def _fold_probabilities(
                      cp=params["cp"])
         sizes = [test.size for test in test_sets]
         fold = np.repeat(np.arange(len(test_sets)), sizes)
-        probs = trees.value[trees.leaves(X, fold, np.concatenate(test_sets))]
+        intervals = trees._cells(X[np.concatenate(test_sets)])[2]
+        probs = np.empty(fold.size)
+        step = max(1, _PREDICT_CHUNK // len(test_sets))
+        for start in range(0, fold.size, step):
+            rows = np.arange(start, min(start + step, fold.size))
+            probs[rows] = trees._leaf_values(intervals, rows)[fold[rows], rows - start]
         return np.split(probs, np.cumsum(sizes)[:-1])
     return [y[train][_nearest(X[train], X[test], params["k"])[0]].mean(axis=1)
             for train, test in zip(train_sets, test_sets)]
@@ -400,9 +407,9 @@ def cross_validate(
     through its transformations (with this dataset's n and p) before
     training. The elastic-net learner trains all folds of the configuration
     in one stacked descent and the CART learner grows all their trees in one
-    lockstep call; the measures are those of separate per-fold fits. Unknown
-    measures, bad data and non-finite predicted probabilities raise
-    ValueError.
+    lockstep call, scored by their leaf masks; the measures are those of
+    separate per-fold fits. Unknown measures, bad data and non-finite
+    predicted probabilities raise ValueError.
     """
     unknown = [m for m in measures if m not in _FOLD_MEASURES]
     if unknown:

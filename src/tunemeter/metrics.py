@@ -66,6 +66,8 @@ def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError("length mismatch between predictions and labels")
+    if any(np.count_nonzero((a != 0) & (a != 1)) for a in (preds, labels)):
+        raise ValueError("predictions and labels must be 0 or 1")
     return float(np.mean(preds == labels))
 
 

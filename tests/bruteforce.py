@@ -4,7 +4,9 @@ Pure dict-and-tuple reimplementation of every tunability quantity, used as
 the oracle against the optimization engine. Works on unconditional
 discrete spaces where a configuration is just the tuple of chosen levels,
 iterated in declaration-order lexicographic (itertools.product) order with
-first-found tie-breaking.
+first-found tie-breaking. The grid, encoding and tree oracles below are as
+plain: `walk_trees` walks rows node by node through trees whose children
+`parse_preorder_trees` derives by recursive descent.
 """
 
 import itertools
@@ -163,3 +165,31 @@ def parse_preorder_trees(inner, roots):
         if subtree(root, end) != end:
             return None
     return left, right
+
+
+def walk_trees(feature, threshold, roots, X):
+    """The node each row of X stops at in each tree, walked node by node, as (trees, rows).
+
+    The children come from `parse_preorder_trees` over the node arrays, not
+    from any child array of the trees under test. A row goes left at a node
+    when its value is at most the threshold, and right otherwise (NaN goes
+    right). Node arrays that are not trees in preorder raise ValueError.
+    """
+    import numpy as np
+
+    feature, threshold = np.asarray(feature), np.asarray(threshold)
+    parsed = parse_preorder_trees((feature >= 0).tolist(), np.asarray(roots).tolist())
+    if parsed is None:
+        raise ValueError("node arrays are not trees in preorder")
+    left, right = (np.array(c, dtype=np.intp) for c in parsed)
+    X = np.asarray(X, dtype=float)
+    n_trees, n_rows = len(roots), X.shape[0]
+    node = np.repeat(np.asarray(roots, dtype=np.intp), n_rows)
+    row = np.tile(np.arange(n_rows), n_trees)
+    active = np.flatnonzero(feature[node] >= 0)  # the (tree, row) pairs still at a split
+    while active.size:
+        at = node[active]
+        go_left = X[row[active], feature[at]] <= threshold[at]
+        node[active] = at = np.where(go_left, left[at], right[at])
+        active = active[feature[at] >= 0]
+    return node.reshape(n_trees, n_rows)

@@ -1,8 +1,9 @@
 """Import every tunemeter module and run the smallest analysis with scipy blocked.
 
 numpy is the package's only runtime dependency. This script makes any
-import of scipy fail, imports each module, scores one toy learner by
-cross-validated AUC, ranks two surrogate kinds by CV R^2 and Kendall's
+import of scipy fail, imports each module, scores two toy learners by
+cross-validated AUC (kNN, and CART, whose fold trees score the test rows
+through the narrow leaf masks), ranks two surrogate kinds by CV R^2 and Kendall's
 tau, fits a few-tree forest into a temporary cache directory and loads it
 back (an `.npz` read without pickles) with byte-equal predictions, and
 runs one random-mode and one grid-mode search on fitted surrogates. Run it
@@ -37,6 +38,10 @@ learner = ToyLearnerSpec("knn_classifier", folds=4)
 dataset = make_synthetic_dataset("gaussian_blobs", n=40, p=2, separation=2, seed=0)
 config = make_configuration(learner.space(), {"k": 5})
 print("auc", cross_validate(learner, config, dataset, 4, ("auc",), seed=0)["auc"])
+cart = ToyLearnerSpec("cart_classifier", folds=4)
+cart_config = make_configuration(cart.space(), {"cp": 0.0, "maxdepth": 6, "minbucket": 1,
+                                                "minsplit": 2})
+print("cart auc", cross_validate(cart, cart_config, dataset, 4, ("auc",), seed=0)["auc"])
 (meta,) = generate_bot_data([learner], [dataset], rows_per_pair=12, seed=0).values()
 report = evaluate_surrogates(meta, "auc", kinds=("knn_reg", "constant"), reps=1, folds=3)
 print("r2, tau", report.mean_by_kind())

@@ -142,6 +142,13 @@ class TestAccuracyBrier:
         with pytest.raises(ValueError, match="0 or 1"):
             brier([0.2, 0.3], labels)
 
+    @pytest.mark.parametrize("values", [[1, 0, 2], [1, 0, -1], [1.0, 0.0, 0.5],
+                                        [1.0, 0.0, float("nan")]])
+    def test_accuracy_predictions_or_labels_other_than_0_and_1_error(self, values):
+        for preds, labels in ((values, values), (values, [1, 0, 0]), ([1, 0, 0], values)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                accuracy(preds, labels)
+
     def test_ranges(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

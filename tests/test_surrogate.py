@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bruteforce import parse_preorder_trees
 from conftest import numeric_space, smooth_sine_meta
-from tunemeter._tree import _Trees
 from tunemeter.hyperspace import (
     bundled_package_defaults,
     bundled_space,
@@ -340,8 +340,8 @@ class TestSelectSurrogate:
 
 def _tree_children(arrays):
     """The left and right child arrays of stored tree node arrays, as format 4 kept them."""
-    trees = _Trees(**{name: arrays[name] for name in ("feature", "threshold", "value", "roots")})
-    return trees.left, trees.right
+    parsed = parse_preorder_trees((arrays["feature"] >= 0).tolist(), arrays["roots"].tolist())
+    return tuple(np.array(children, dtype=np.int32) for children in parsed)
 
 
 class TestCache:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bruteforce import parse_preorder_trees
-from tunemeter import _tree
+from bruteforce import parse_preorder_trees, walk_trees
+from tunemeter import _tree, metadata
 from tunemeter._tree import _Trees, grow
 from tunemeter.surrogate import _fit_regressor
 from tunemeter.metadata import ToyLearnerSpec, _fold_probabilities
@@ -112,6 +112,43 @@ class TestCartMatchesGiniOracle:
         assert got.tolist() == [oracle(x) for x in rows]
 
 
+@st.composite
+def cart_folds(draw):
+    """Labelled rows and query rows, F ≥ 2 folds of training and test rows, CART
+    parameters, and a chunk of (tree, row) pairs, mostly small enough to split the test rows."""
+    X, y = draw(labelled_rows())
+    n, p = len(y), len(X[0])
+    queries = draw(st.lists(st.lists(values, min_size=p, max_size=p), max_size=10))
+    rows = st.integers(0, n + len(queries) - 1)
+    folds = draw(st.integers(2, 5))
+    train = [np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+             for _ in range(folds)]
+    test = [np.array(draw(st.lists(rows, min_size=1, max_size=15))) for _ in range(folds)]
+    params = dict(cp=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+                  maxdepth=draw(st.integers(1, 8)), minbucket=draw(st.integers(1, 6)),
+                  minsplit=draw(st.integers(1, 20)))
+    chunk = draw(st.sampled_from([1, folds + 1, 3 * folds, _tree._PREDICT_CHUNK]))
+    return np.array(X + queries), np.array(y + [0] * len(queries)), train, test, params, chunk
+
+
+class TestCartFolds:
+    @settings(max_examples=200, deadline=None)
+    @given(case=cart_folds())
+    def test_each_fold_scores_in_its_own_tree_grown_alone(self, case):
+        X, y, train, test, params, chunk = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(metadata, "_PREDICT_CHUNK", chunk)
+            got = _fold_probabilities(ToyLearnerSpec("cart_classifier"), params, X, y,
+                                      train, test)
+        assert len(got) == len(test)
+        for probs, sample, rows in zip(got, train, test):
+            alone = grow(X, y, [sample], min_leaf=params["minbucket"],
+                         max_depth=params["maxdepth"], min_split=params["minsplit"],
+                         cp=params["cp"])
+            (leaves,) = walk_trees(alone.feature, alone.threshold, alone.roots, X[rows])
+            assert probs.tobytes() == alone.value[leaves].tobytes()
+
+
 def test_threshold_between_neighbours_near_float_maximum():
     X = np.array([[1e308], [1.7e308]])
     with np.errstate(over="raise"):
@@ -172,11 +209,14 @@ def reference_tree(X, y, rng=None, min_leaf=5, max_depth=20, split_features=0, m
 
 
 def tree_arrays(trees, t):
-    """Tree t of grown trees as (feature, threshold, left, right, value), children local."""
+    """Tree t of grown trees as (feature, threshold, left, right, value), children local.
+
+    The children are parsed from tree t's node arrays (`parse_preorder_trees`).
+    """
     bounds = [*trees.roots.tolist(), trees.feature.size]
     a, b = bounds[t], bounds[t + 1]
-    local = [np.where(c[a:b] >= 0, c[a:b] - a, -1).astype(np.int32)
-             for c in (trees.left, trees.right)]
+    local = [np.array(c, dtype=np.int32)
+             for c in parse_preorder_trees((trees.feature[a:b] >= 0).tolist(), [0])]
     return trees.feature[a:b], trees.threshold[a:b], *local, trees.value[a:b]
 
 
@@ -316,8 +356,8 @@ def test_later_bulk_draws_double():
 def tree_order_sum(trees, X):
     """Each row's mean leaf value, every row walked through every tree, summed in tree order."""
     acc = np.zeros(X.shape[0])
-    for t in range(trees.roots.size):
-        acc += trees.value[trees.leaves(X, np.full(X.shape[0], t), np.arange(X.shape[0]))]
+    for leaves in walked_leaves(trees, X, np.arange(X.shape[0])):
+        acc += trees.value[leaves]
     return acc / trees.roots.size
 
 
@@ -394,9 +434,7 @@ def exit_leaves(trees, X, rows):
 
 def walked_leaves(trees, X, rows):
     """The leaf each of `rows` reaches in each tree, walked node by node, as (trees, rows)."""
-    n_trees = trees.roots.size
-    return trees.leaves(X, np.repeat(np.arange(n_trees), rows.size),
-                        np.tile(rows, n_trees)).reshape(n_trees, rows.size)
+    return walk_trees(trees.feature, trees.threshold, trees.roots, X[rows])
 
 
 def queries_around(trees, X):
@@ -687,7 +725,7 @@ def inner_patterns(draw):
 
 
 class TestNodeArrays:
-    """Node arrays that are not trees in preorder raise instead of walking forever."""
+    """Node arrays that are not trees in preorder raise instead of scoring a wrong leaf."""
 
     # two trees of three nodes: a split at the root and two leaves
     GOOD = dict(feature=[0, -1, -1, 0, -1, -1], threshold=[0.5, 0, 0, 0.2, 0, 0],
@@ -695,14 +733,12 @@ class TestNodeArrays:
 
     def test_preorder_trees_are_accepted(self):
         trees = _Trees(**self.GOOD)
-        assert trees.left.tolist() == [1, -1, -1, 4, -1, -1]
         assert trees.right.tolist() == [2, -1, -1, 5, -1, -1]
         assert trees.predict(np.array([[0.1], [0.3], [0.9]])).tolist() == [2.0, 2.5, 3.0]
 
     def test_a_right_child_after_a_split_left_subtree_is_derived(self):
         # node 1 splits into nodes 2 and 3, so the root's right child is node 4
         trees = _Trees([0, 0, -1, -1, -1], [0.5, 0.2, 0, 0, 0], [0.0, 0.0, 1.0, 2.0, 3.0], [0])
-        assert trees.left.tolist() == [1, 2, -1, -1, -1]
         assert trees.right.tolist() == [4, 3, -1, -1, -1]
         assert trees.predict(np.array([[0.1], [0.3], [0.9]])).tolist() == [1.0, 2.0, 3.0]
 
@@ -747,8 +783,8 @@ class TestNodeArrays:
                 _Trees(**arrays)
         else:
             trees = _Trees(**arrays)
-            assert (trees.left.tolist(), trees.right.tolist()) == parsed
-            assert trees.left.dtype == trees.right.dtype == np.int32
+            assert trees.right.tolist() == parsed[1]
+            assert trees.right.dtype == np.int32
 
     @settings(max_examples=100, deadline=None)
     @given(case=fitted_trees_and_queries())
@@ -756,7 +792,7 @@ class TestNodeArrays:
         trees, queries = case
         assert sorted(trees.arrays()) == ["feature", "roots", "threshold", "value"]
         parsed = parse_preorder_trees((trees.feature >= 0).tolist(), trees.roots.tolist())
-        assert (trees.left.tolist(), trees.right.tolist()) == parsed
+        assert trees.right.tolist() == parsed[1]
         rebuilt = _Trees(**trees.arrays())
         assert rebuilt.predict(queries).tobytes() == trees.predict(queries).tobytes()
 
@@ -766,7 +802,7 @@ class TestNodeArrays:
         X, y, samples, params, seed = case
         trees = grow(X, y, samples, generators(seed, len(samples)), **params)
         parsed = parse_preorder_trees((trees.feature >= 0).tolist(), trees.roots.tolist())
-        assert (trees.left.tolist(), trees.right.tolist()) == parsed
+        assert trees.right.tolist() == parsed[1]
         rebuilt = _Trees(**trees.arrays())
         rows = np.arange(X.shape[0])
         assert same_bits([rebuilt.predict(X), walked_leaves(rebuilt, X, rows)],
