@@ -66,9 +66,12 @@ def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError("length mismatch between predictions and labels")
-    if any(np.count_nonzero((a != 0) & (a != 1)) for a in (preds, labels)):
-        raise ValueError("predictions and labels must be 0 or 1")
-    return float(np.mean(preds == labels))
+    for values in (preds, labels):
+        if np.count_nonzero((values != 0) & (values != 1)):
+            raise ValueError("predictions and labels must be 0 or 1")
+    # the share of equal pairs, rounded as np.mean rounds it, without its call overhead:
+    # the bot takes accuracy on every CV fold
+    return float(np.count_nonzero(preds == labels) / np.float64(preds.size))
 
 
 def brier(probs: Sequence[float], labels: Sequence[int]) -> float:

@@ -131,6 +131,14 @@ class TestAccuracyBrier:
     def test_accuracy_three_quarters(self):
         assert accuracy([1, 0, 0, 0], [1, 1, 0, 0]) == 0.75
 
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1,
+                          max_size=300))
+    def test_accuracy_is_the_mean_of_equal_pairs_to_the_bit(self, pairs):
+        preds, labels = np.array(pairs).T
+        got = accuracy(preds, labels)
+        assert type(got) is float and same_bits(got, np.mean(preds == labels))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([1], [1, 0])
