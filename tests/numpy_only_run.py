@@ -3,12 +3,13 @@
 numpy is the package's only runtime dependency. This script makes any
 import of scipy fail, imports each module, scores two toy learners by
 cross-validated AUC (kNN, and CART, whose fold trees score the test rows
-through the narrow leaf masks), ranks two surrogate kinds by CV R^2 and Kendall's
-tau, fits a few-tree forest into a temporary cache directory and loads it
-back (an `.npz` read without pickles) with byte-equal predictions, and
-runs one random-mode and one grid-mode search on fitted surrogates. Run it
-with only numpy installed: `python tests/numpy_only_run.py` (add `src` to
-PYTHONPATH when the package is not installed).
+through the narrow leaf masks), ranks two surrogate kinds by CV R^2 and
+Kendall's tau, fits a few-tree forest into a temporary cache directory and
+loads it back (an `.npz` read without pickles) with byte-equal
+predictions, and runs one random-mode and one grid-mode search on fitted
+surrogates. Run it with only numpy installed:
+`python tests/numpy_only_run.py` (add `src` to PYTHONPATH when the package
+is not installed).
 """
 
 import importlib
