@@ -13,8 +13,9 @@ parameter a value column and an activity column. `sample_configurations`
 and `grid_configurations` turn each row into a plain `Configuration`.
 `tunability.minimize` keeps the block and builds no object per candidate:
 it moves one row view through the block, whose keys come from one pass
-over the columns, and encodes its distinct rows as one view of row
-indices, read from the columns by fancy indexing.
+over the columns, and encodes the block of its distinct rows, taken from
+the columns by fancy indexing. The encoder reads blocks only; it turns a
+list of plain configurations into one first.
 """
 
 from __future__ import annotations
@@ -251,31 +252,43 @@ class _Row(Configuration):
         return self._block.keys[self._row]
 
 
-class _Rows:
-    """Rows ``index`` of a candidate block, in that order: what a search encodes."""
-
-    __slots__ = ("block", "index")
-
-    def __init__(self, block: _Block, index: np.ndarray):
-        self.block, self.index = block, index
-
-    def __len__(self) -> int:
-        return self.index.size
-
-
 class _Block:
-    """The columns of one `_build_block` call, in draw order.
+    """Candidates as columns: what `_build_block` draws and what the encoder reads.
 
     ``values[name]`` holds every row's value of a parameter: float or int
     arrays for drawn numbers, object arrays for levels and pinned values, so
     that ``item`` gives back the exact value a dict holds. ``active``
-    holds the matching flags. A search reads the rows through one `cursor`
-    and a `_Rows` view, and only `row` builds a `Configuration`.
+    holds the matching flags. A search keys the rows through one `cursor`
+    and encodes the block that `take` cuts from its distinct rows; only
+    `row` builds a `Configuration`.
     """
 
     def __init__(self, space: SearchSpace, values: dict[str, np.ndarray],
                  active: dict[str, np.ndarray], n: int):
         self.space, self.values, self.active, self.n = space, values, active, n
+
+    @classmethod
+    def of(cls, space: SearchSpace, configs: Sequence[Configuration]) -> _Block:
+        """Plain configurations as columns, one per parameter of `space`.
+
+        A missing flag reads as inactive; an inactive cell holds the placeholder.
+        """
+        values, active = {}, {}
+        for p in space.params:
+            flags = [bool(c.active.get(p.name, False)) for c in configs]
+            fill = p.placeholder()
+            col = np.empty(len(configs), dtype=object)
+            col[:] = [c.values[p.name] if on else fill for c, on in zip(configs, flags)]
+            values[p.name], active[p.name] = col, np.array(flags, dtype=bool)
+        return cls(space, values, active, len(configs))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def take(self, index: np.ndarray) -> _Block:
+        """Rows `index` of the block, in that order, as a block of their own."""
+        return _Block(self.space, {name: col[index] for name, col in self.values.items()},
+                      {name: on[index] for name, on in self.active.items()}, index.size)
 
     @functools.cached_property
     def keys(self) -> list[tuple]:
@@ -301,31 +314,6 @@ class _Block:
         view = object.__new__(_Row)
         view._block, view._row = self, 0
         return view
-
-
-def _gather(configs: Sequence[Configuration] | _Rows,
-            params: Sequence[ParamDef]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(values, flags) arrays of each parameter over `configs`.
-
-    The rows of a `_Rows` view (a search's distinct candidates) are taken
-    from the block's columns by fancy indexing. Plain configurations are
-    read from their dicts: a missing flag reads as inactive, and an inactive
-    cell holds the parameter's placeholder.
-    """
-    if isinstance(configs, _Rows):
-        block, index = configs.block, configs.index
-        return [(block.values[p.name][index], block.active[p.name][index]) for p in params]
-    n = len(configs)
-    values = [c.values for c in configs]
-    active = [c.active for c in configs]
-    out = []
-    for p in params:
-        flags = [bool(a.get(p.name, False)) for a in active]
-        fill = p.placeholder()
-        col = np.empty(n, dtype=object)
-        col[:] = [v[p.name] if on else fill for v, on in zip(values, flags)]
-        out.append((col, np.array(flags, dtype=bool)))
-    return out
 
 
 def make_configuration(space: SearchSpace, values: dict[str, Any]) -> Configuration:

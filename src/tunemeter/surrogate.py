@@ -48,7 +48,7 @@ import numpy as np
 
 from ._rng import derive_rng
 from ._tree import _Trees, grow
-from .hyperspace import Configuration, SearchSpace, _gather, _Rows
+from .hyperspace import Configuration, SearchSpace, _Block
 from .metadata import ExperimentRow, MetaDataset, _nearest, _Standardizer, stratified_folds
 from .metrics import MeasureSpec, kendall_tau, r_squared, to_risk
 
@@ -83,22 +83,23 @@ class ConfigEncoder:
                     cols.append(f"{p.name}=__inactive__")
         return cls(space=space, columns=tuple(cols))
 
-    def encode_configs(self, configs: Sequence[Configuration] | _Rows) -> np.ndarray:
+    def encode_configs(self, configs: Sequence[Configuration] | _Block) -> np.ndarray:
         """One encoded row per configuration, built a parameter column at a time.
 
-        Each parameter's values and flags are gathered in one pass: from the
-        dicts of plain configurations, or by fancy indexing of the columns
-        when `tunability.minimize` passes a view of row indices into its
-        candidate block (`hyperspace._Rows`). A numeric cell is its value,
-        or the midpoint when inactive; a level cell is a one-hot over the
-        levels, or over the extra inactive column. An unconditional
-        parameter that is flagged inactive or has no flag, and an active
-        value that is not one of its parameter's levels, raise ValueError
-        naming the parameter.
+        The encoder reads a candidate block (`hyperspace._Block`): the one
+        `tunability.minimize` takes from its distinct rows, or the one
+        `_Block.of` builds from plain configurations, where a missing flag
+        reads as inactive. A numeric cell is its value, or the midpoint when
+        inactive; a level cell is a one-hot over the levels, or over the
+        extra inactive column. An unconditional parameter that is flagged
+        inactive or has no flag, and an active value that is not one of its
+        parameter's levels, raise ValueError naming the parameter.
         """
-        out = np.zeros((len(configs), len(self.columns)))
+        block = configs if isinstance(configs, _Block) else _Block.of(self.space, configs)
+        out = np.zeros((block.n, len(self.columns)))
         col = 0
-        for p, (values, on) in zip(self.space.params, _gather(configs, self.space.params)):
+        for p in self.space.params:
+            values, on = block.values[p.name], block.active[p.name]
             if not p.is_conditional and not on.all():
                 raise ValueError(f"unconditional parameter {p.name!r} is inactive or has no "
                                  f"flag in row {int(np.argmin(on))}")
@@ -170,7 +171,9 @@ class _LinearReg:
         return {"beta": self.beta}
 
     def predict(self, X):
-        return np.hstack([np.ones((X.shape[0], 1)), X]) @ self.beta
+        # a sum along each row, not a BLAS product, which may round a row differently
+        # in a batch than alone: a search reads its risks from one batch
+        return (X * self.beta[1:]).sum(axis=1) + self.beta[0]
 
 
 class _KnnReg:

@@ -12,11 +12,12 @@ A predictor has an ``encoder`` (a `surrogate.ConfigEncoder`) and
 qualify, and so do plain lookup tables in tests. A search keeps the
 column block that `hyperspace.grid_configurations` and
 `sample_configurations` build, keys its rows through one moving row view,
-encodes its distinct rows once from the block's columns by row index,
-with the encoder its predictors share (equal by value), and has every
-predictor score that one matrix; reference configurations take the same
-path through their dicts. No object is built per candidate, and the block
-stays inside the search: only the winner becomes a plain `Configuration`.
+encodes the block of its distinct rows once, with the encoder its
+predictors share (equal by value), and has every predictor score that one
+matrix; the encoder turns reference configurations into a block first. No
+object is built per candidate, and the blocks stay inside the search: only
+the winner becomes a plain `Configuration`, returned with its column of the
+risk matrix, so each risk has one prediction.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from ._rng import _parallel_map, derive_rng
 from .hyperspace import (
     Configuration,
     SearchSpace,
+    _Block,
     _grid_block,
-    _Rows,
     _sample_block,
     sample_configuration,  # noqa: F401  perfbench/tracer.py wraps it under this module
 )
@@ -81,6 +82,7 @@ class MinimizeResult:
     risk: float
     tie_count: int = 1
     n_evaluated: int = 0
+    dataset_risks: tuple[float, ...] = ()  # the winner's risk per predictor, in their order
 
     @property
     def tied(self) -> bool:
@@ -96,7 +98,7 @@ def _as_predictor_list(predictors) -> tuple[list[str], list]:
     return [getattr(predictors, "dataset_id", "?")], [predictors]
 
 
-def _risks(predictors, configs: list[Configuration] | _Rows) -> np.ndarray:
+def _risks(predictors, configs: list[Configuration] | _Block) -> np.ndarray:
     """(datasets x configs) predicted risks of a {dataset id: predictor} dict or one predictor.
 
     The configurations are encoded once, with the encoder every predictor
@@ -127,16 +129,16 @@ def minimize(
     and the draws of `sample_configurations` in random mode, kept as rows
     of their block. One row view moves through the block, and its
     `Configuration.key` (one call per row) maps each distinct candidate to
-    the row where it first appears. The distinct rows, in that order, are
-    encoded, predicted and scored once, straight from the block's columns
-    by row index. Predictors whose encoders differ by value raise
-    ValueError. `objective` maps the (m datasets x U distinct candidates)
-    risk matrix to U finite values (default: mean over datasets); any
-    other output raises ValueError naming the search, and the candidate's
-    key for a non-finite value.
+    the row where it first appears. The block those rows take, in that
+    order, is encoded, predicted and scored once. Predictors whose
+    encoders differ by value raise ValueError. `objective` maps the (m
+    datasets x U distinct candidates) risk matrix to U finite values
+    (default: mean over datasets); any other output raises ValueError
+    naming the search, and the candidate's key for a non-finite value.
     Ties are broken by the first optimum in candidate order: grid order
     (see `OptimizerSpec`), or sample order for random search. Only the
-    winner becomes a plain `Configuration`. ``tie_count`` counts the distinct
+    winner becomes a plain `Configuration`, and ``dataset_risks`` is its
+    column of the risk matrix. ``tie_count`` counts the distinct
     configurations within 1e-12 of the optimum, and a tie is logged as a
     warning; ``n_evaluated`` counts all candidates, repeats included. A
     non-finite predicted risk raises ValueError naming the dataset and the
@@ -158,7 +160,7 @@ def minimize(
         index.setdefault(view.key(space), i)
     keys = list(index)
     rows = np.fromiter(index.values(), np.intp, len(keys))
-    risks = _risks(predictors, _Rows(block, rows))
+    risks = _risks(predictors, block.take(rows))
     bad = np.argwhere(~np.isfinite(risks))
     if bad.size:
         r, j = bad[0]
@@ -178,7 +180,8 @@ def minimize(
     if ties > 1:
         logger.warning("search %r ends in a %d-way tie over %d candidates; "
                        "the first found wins", context, ties, block.n)
-    return MinimizeResult(block.row(int(rows[best])), best_val, ties, block.n)
+    return MinimizeResult(block.row(int(rows[best])), best_val, ties, block.n,
+                          tuple(risks[:, best].tolist()))
 
 
 # -- optimal defaults and per-dataset optima --------------------------------------
@@ -189,7 +192,7 @@ class DefaultsResult:
 
     config: Configuration
     aggregated_risk: float
-    per_dataset_risk: dict[str, float]
+    per_dataset_risk: dict[str, float]  # the winner's column of the search's risk matrix
     tie_count: int = 1
 
 
@@ -213,8 +216,8 @@ def compute_defaults(
 
     res = minimize(predictors, space, optimizer, fixed=fixed,
                    objective=objective, context=context)
-    per_ds = dict(zip(ds_ids, _risks(predictors, [res.config])[:, 0].tolist()))
-    return DefaultsResult(res.config, res.risk, per_ds, res.tie_count)
+    return DefaultsResult(res.config, res.risk, dict(zip(ds_ids, res.dataset_risks)),
+                          res.tie_count)
 
 
 def dataset_optimum(

@@ -7,7 +7,10 @@ through the narrow leaf masks), ranks two surrogate kinds by CV R^2 and
 Kendall's tau, fits a few-tree forest into a temporary cache directory and
 loads it back (an `.npz` read without pickles) with byte-equal
 predictions, and runs one random-mode and one grid-mode search on fitted
-surrogates. Run it with only numpy installed:
+surrogates. It also runs the defaults on linear surrogates and checks that
+each dataset's risk is, bit for bit, its model's single-row predict: the
+search takes it from a batch, and this numpy's BLAS must not move a row's
+last bit there. Run it with only numpy installed:
 `python tests/numpy_only_run.py` (add `src` to PYTHONPATH when the package
 is not installed).
 """
@@ -59,3 +62,8 @@ defaults = compute_defaults(models, meta.space, RiskTransform("none"), SummarySp
 print("random-mode defaults", defaults.config.values, defaults.aggregated_risk)
 optimum = dataset_optimum(models[dataset.info.id], meta.space, OptimizerSpec(mode="grid"))
 print("grid-mode optimum", optimum.config.values, optimum.risk)
+linear = fit_all_surrogates(meta, "auc", kind="linear")
+defaults = compute_defaults(linear, meta.space, RiskTransform("none"), SummarySpec("mean"),
+                            OptimizerSpec(mode="random", budget=500))
+assert defaults.per_dataset_risk == {d: m.predict(defaults.config) for d, m in linear.items()}
+print("linear defaults risk", defaults.per_dataset_risk, "is each single-row predict")

@@ -457,7 +457,7 @@ class TestGridConfigurations:
 
 
 class TestBlockRows:
-    """A search's moving row view keys, and its `_Rows` views encode, like plain configurations."""
+    """A search's row view keys, and the blocks it takes encode, like plain configurations."""
 
     def check_rows(self, space, block, plain, fixed):
         assert [block.row(i) for i in range(block.n)] == plain
@@ -472,8 +472,8 @@ class TestBlockRows:
         n = block.n
         # a search encodes some rows, in order of first appearance; repeats are encoded as asked
         for index in (np.arange(n), np.arange(n)[::-2], np.arange(n).repeat(2)[::-1]):
-            rows = hyperspace._Rows(block, index)
-            assert len(rows) == index.size
+            rows = block.take(index)
+            assert len(rows) == rows.n == index.size
             picked = [plain[i] for i in index]
             X = encoder.encode_configs(rows).tobytes()
             assert X == encoder.encode_configs(picked).tobytes()

@@ -24,6 +24,7 @@ from conftest import (
 from tunemeter import hyperspace
 from tunemeter._rng import derive_rng
 from tunemeter.hyperspace import (
+    BUNDLED_ALGORITHMS,
     Configuration,
     SpaceError,
     bundled_package_defaults,
@@ -34,8 +35,15 @@ from tunemeter.hyperspace import (
     sample_configuration,
     sample_configurations,
 )
+from tunemeter.metadata import ExperimentRow
 from tunemeter.metrics import RiskTransform, SummarySpec
-from tunemeter.surrogate import ConfigEncoder, fit_all_surrogates
+from tunemeter.surrogate import (
+    SURROGATE_KINDS,
+    ConfigEncoder,
+    encode,
+    fit_all_surrogates,
+    fit_surrogate,
+)
 from tunemeter.tunability import (
     OptimizerSpec,
     activating_assignment,
@@ -246,8 +254,8 @@ class TestEncodeOnce:
         monkeypatch.setattr(ConfigEncoder, "encode_configs", counting)
         res = compute_defaults(models, space, NO_SCALE, MEAN,
                                OptimizerSpec(mode="random", budget=300, seed=0))
-        # 300 draws repeat each of the 20 cells; then the defaults' per-dataset risks
-        assert rows == [len(all_cells(space)), 1]
+        # 300 draws repeat each of the 20 cells; the per-dataset risks are the winner's column
+        assert rows == [len(all_cells(space))]
         assert res.per_dataset_risk == {d: m.predict(res.config) for d, m in models.items()}
 
     def test_predictor_with_another_encoder_raises_naming_its_dataset(self):
@@ -260,6 +268,70 @@ class TestEncodeOnce:
         preds["c"] = TablePredictor(other, random_table(other, rng))
         with pytest.raises(ValueError, match="dataset 'c'"):
             compute_defaults(preds, space, NO_SCALE, MEAN, GRID)
+
+
+class _Recording:
+    """A predictor that keeps every matrix it scores and the risks it gives."""
+
+    def __init__(self, predictor):
+        self.predictor, self.encoder, self.calls = predictor, predictor.encoder, []
+
+    def predict_encoded(self, X):
+        risks = self.predictor.predict_encoded(X)
+        self.calls.append((X, risks))
+        return risks
+
+
+class TestOnePredictionPerRisk:
+    """A risk has one prediction: a row scores the same bytes in a search's batch as alone."""
+
+    def model(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        space = bundled_space(BUNDLED_ALGORITHMS[seed % len(BUNDLED_ALGORITHMS)])
+        rows = [ExperimentRow("d", c, {"brier": float(rng.uniform())})
+                for c in sample_configurations(space, rng, 40)]
+        params = {"n_trees": 5} if kind == "forest_reg" else {}
+        model = fit_surrogate(kind, encode(space, rows, "brier"), seed=seed, dataset_id="d",
+                              **params)
+        return model, space, rng
+
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    def test_a_row_predicts_the_same_bytes_in_a_batch_as_alone(self, kind):
+        for seed in range(30):
+            model, space, rng = self.model(kind, seed)
+            X = model.encoder.encode_configs(sample_configurations(space, rng, 50))
+            batch = model.predict_encoded(X)
+            alone = [model.predict_encoded(X[i:i + 1]).tobytes() for i in range(len(X))]
+            assert [batch[i:i + 1].tobytes() for i in range(len(X))] == alone, seed
+
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    def test_an_optimum_has_tunability_zero_against_itself(self, kind):
+        for seed in range(20):
+            model, space, _ = self.model(kind, seed)
+            opt = dataset_optimum(model, space,
+                                  OptimizerSpec(mode="random", budget=300, seed=seed))
+            result = tunability_algorithm({"d": model}, opt.config, {"d": opt})
+            assert result.per_dataset == {"d": 0.0}, seed
+
+    @pytest.mark.parametrize("mode", ["grid", "random"])
+    def test_dataset_risks_are_the_winners_column(self, mode):
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            space = integer_grid_space(rng.integers(1, 5, size=int(rng.integers(1, 4))))
+            tables = [random_table(space, rng) for _ in range(int(rng.integers(1, 5)))]
+            preds = {f"d{i}": _Recording(TablePredictor(space, t)) for i, t in enumerate(tables)}
+            optimizer = GRID if mode == "grid" else OptimizerSpec(
+                mode="random", budget=int(rng.integers(1, 80)), seed=trial)
+            res = minimize(preds, space, optimizer)
+            winner = ConfigEncoder.build(space).encode_configs([res.config])
+            column = []
+            for pred in preds.values():
+                (X, risks), = pred.calls  # one matrix per search, its rows distinct
+                (j,) = np.flatnonzero((X == winner).all(axis=1))
+                column.append(risks[j])
+            assert res.dataset_risks == tuple(column)
+            assert res.dataset_risks == tuple(p.predictor.predict_encoded(winner)[0]
+                                              for p in preds.values())
 
 
 class TestNoBlockOutlivesItsSearch:
@@ -290,7 +362,8 @@ class TestNoBlockOutlivesItsSearch:
         for search in searches:
             made = len(blocks)
             result = search()
-            assert len(blocks) == made + 1 and blocks[-1]() is None
+            # the candidate block, the block of its distinct rows and any references' blocks
+            assert len(blocks) > made and all(block() is None for block in blocks[made:])
             if isinstance(result, Configuration):  # not a row of the block
                 assert type(result) is Configuration
 
