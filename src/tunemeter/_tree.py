@@ -47,8 +47,10 @@ has a mask with the bits of its left subtree's leaves cleared. For each
 interval between a column's thresholds, the masks of that column's nodes
 whose threshold lies below the interval are ANDed in advance, one table row
 per interval; so a row costs one lookup and one AND per split column, and
-the lowest bit left standing is its leaf. The intervals are those `_cells`
-found for the cell codes, so a batch runs one `searchsorted` per column.
+the lowest bit left standing is its leaf. The intervals come from one
+`searchsorted` per column (`_intervals`), and `_cells` makes the cell codes
+of `predict` from them; the bot's CART folds score every test row, so they
+take the intervals alone.
 
 The masks are as wide as the largest tree's leaves, as in V-QuickScorer
 (Lucchese et al., "Exploiting CPU SIMD Extensions to Speed-up Document
@@ -214,7 +216,7 @@ class _Trees:
         words), holds per tree the AND of the masks of the nodes on that
         column whose threshold is one of the first j cuts: the nodes a value
         above exactly j cuts passes to the right. Row 0 holds the full masks.
-        `_cells` gives each row its interval, the row of the table it takes.
+        `_intervals` gives each row its interval, the row of the table it takes.
         """
         inner = np.flatnonzero(self.feature >= 0)
         if not inner.size:
@@ -252,7 +254,7 @@ class _Trees:
         """The value of the leaf each of `rows` reaches in each tree, as (trees, rows).
 
         `intervals` holds each row's interval on each column of `_cuts` (from
-        `_cells`). A row goes right at a node exactly when the node's
+        `_intervals`). A row goes right at a node exactly when the node's
         threshold is below its value, so ANDing the table rows its intervals
         pick clears, per tree, the leaves of every left subtree the row
         passes by; the lowest bit left standing is the leaf it reaches
@@ -277,27 +279,30 @@ class _Trees:
                 key = at if key is None else np.where(low != 0, at, key)
         return np.take(table, (key + offset).T)  # (trees, rows), C order
 
+    def _intervals(self, X: np.ndarray) -> list[np.ndarray]:
+        """Each row's interval on each column of `_cuts`: the number of the
+        column's cuts below the row's value (`searchsorted`, left side)."""
+        return [np.searchsorted(cuts, X[:, column]) for column, cuts, _ in self._cuts]
+
     def _cells(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Each row's cell, numbered densely in order, the first row of each cell, and
-        each row's interval on each column of `_cuts`.
+        each row's interval on each column of `_cuts` (`_intervals`).
 
-        A row's interval on a column is the number of its cuts below the
-        row's value (`searchsorted`, left side). The intervals, in `_cuts`
-        order, are the digits of one mixed-radix int64 code (radix: cuts +
-        1), so the codes order the cells as the tuples of intervals do, and
-        one `np.unique` numbers them. Before a digit that could overflow
-        int64, the code is replaced by its dense rank, which keeps the order.
+        The intervals, in `_cuts` order, are the digits of one mixed-radix
+        int64 code (radix: cuts + 1), so the codes order the cells as the
+        tuples of intervals do, and one `np.unique` numbers them. Before a
+        digit that could overflow int64, the code is replaced by its dense
+        rank, which keeps the order.
         """
+        intervals = self._intervals(X)
         code = np.zeros(X.shape[0], dtype=np.int64)
         size = 1  # every code so far is below it
-        intervals = []
-        for column, cuts, _ in self._cuts:
+        for (_, cuts, _), interval in zip(self._cuts, intervals):
             radix = cuts.size + 1
             if size * radix > 1 << 63:
                 distinct, code = np.unique(code, return_inverse=True)
                 size = distinct.size
-            intervals.append(np.searchsorted(cuts, X[:, column]))
-            code = code * radix + intervals[-1]
+            code = code * radix + interval
             size *= radix
         _, first, cell = np.unique(code, return_index=True, return_inverse=True)
         return cell, first, intervals

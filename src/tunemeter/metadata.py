@@ -277,10 +277,17 @@ class _ElasticNetLogReg:
     """Logistic regression with an elastic-net penalty.
 
     Trained by proximal full-batch gradient descent on standardized
-    features (`_Standardizer`): 500 iterations, step 0.1, soft thresholding
-    for the L1 part and a closed-form shrink for the L2 part (a plain
-    gradient step would diverge for the large penalties the sampling scale
-    can produce).
+    features (`_Standardizer`): at most 500 iterations, step 0.1, soft
+    thresholding for the L1 part and a closed-form shrink for the L2 part (a
+    plain gradient step would diverge for the large penalties the sampling
+    scale can produce). The descent stops at the first step whose (w, b)
+    has the bytes of the step before: a step is a fixed function of those
+    bytes, so every later one would repeat them, and the result is that of
+    all 500 steps. Bytes, not values: soft thresholding zeroes a weight
+    whose step went negative to -0.0, which equals the starting +0.0, so a
+    stop on equal values would keep the wrong zero. The stop fires where a
+    penalty zeroes every weight of balanced folds (w = 0, b = 0 after one
+    step); `_steps` records the steps whose result was kept.
 
     `fit_folds` trains the folds of one configuration together. Each fold's
     rows are standardized with that fold's own mean and sd and stacked into
@@ -317,11 +324,17 @@ class _ElasticNetLogReg:
         b = np.zeros(F)
         thr = self.STEP * self.lam * self.alpha
         shrink = 1.0 + self.STEP * self.lam * (1.0 - self.alpha)
-        for _ in range(self.ITERATIONS):
+        self._steps = self.ITERATIONS
+        for step in range(self.ITERATIONS):
             resid = (_sigmoid((Z @ w[:, :, None])[:, :, 0] + b[:, None]) - Y) * mask
-            w = w - self.STEP * (Zt @ resid[:, :, None])[:, :, 0] / n[:, None]
-            b = b - self.STEP * (resid.sum(axis=1) / n)
-            w = np.sign(w) * np.maximum(np.abs(w) - thr, 0.0) / shrink
+            w_next = w - self.STEP * (Zt @ resid[:, :, None])[:, :, 0] / n[:, None]
+            b_next = b - self.STEP * (resid.sum(axis=1) / n)
+            w_next = np.sign(w_next) * np.maximum(np.abs(w_next) - thr, 0.0) / shrink
+            # bytes, not values: -0.0 == 0.0, but a step may turn one into the other
+            if b_next.tobytes() == b.tobytes() and w_next.tobytes() == w.tobytes():
+                self._steps = step
+                break
+            w, b = w_next, b_next
         self._coef = w
         self._intercept = b
         return self
@@ -353,7 +366,7 @@ def _fold_probabilities(
                      cp=params["cp"])
         sizes = [test.size for test in test_sets]
         fold = np.repeat(np.arange(len(test_sets)), sizes)
-        intervals = trees._cells(X[np.concatenate(test_sets)])[2]
+        intervals = trees._intervals(X[np.concatenate(test_sets)])
         probs = np.empty(fold.size)
         step = max(1, _PREDICT_CHUNK // len(test_sets))
         for start in range(0, fold.size, step):
@@ -406,9 +419,10 @@ def cross_validate(
     The configuration is validated against the learner's space and passed
     through its transformations (with this dataset's n and p) before
     training. The elastic-net learner trains all folds of the configuration
-    in one stacked descent and the CART learner grows all their trees in one
-    lockstep call, scored by their leaf masks; the measures are those of
-    separate per-fold fits. Unknown measures, bad data and non-finite
+    in one stacked descent, which stops once a step repeats its input
+    bytes, and the CART learner grows all their trees in one lockstep call,
+    scored by their leaf masks; the measures are those of separate per-fold
+    fits of 500 descent steps. Unknown measures, bad data and non-finite
     predicted probabilities raise ValueError.
     """
     unknown = [m for m in measures if m not in _FOLD_MEASURES]

@@ -193,3 +193,46 @@ def walk_trees(feature, threshold, roots, X):
         node[active] = at = np.where(go_left, left[at], right[at])
         active = active[feature[at] >= 0]
     return node.reshape(n_trees, n_rows)
+
+
+def elastic_net_descent(Xs, ys, alpha, lam, tests, iterations=500, step=0.1):
+    """The stacked elastic-net descent run for all its steps, with no early stop.
+
+    The arithmetic of `metadata._ElasticNetLogReg`, expression for
+    expression: each fold standardized by its own `_Standardizer` and padded
+    with zero rows to the longest fold, residuals of the padding masked, and
+    each proximal step a gradient step, then soft thresholding and a shrink.
+    Returns the (folds, p) weights, the (folds,) intercepts and each fold's
+    probabilities for its rows of `tests`.
+    """
+    import numpy as np
+
+    from tunemeter.metadata import _Standardizer
+
+    def sigmoid(z):
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    scalers = [_Standardizer(X) for X in Xs]
+    sizes = np.array([X.shape[0] for X in Xs])
+    Z = np.zeros((len(Xs), int(sizes.max()), Xs[0].shape[1]))
+    Y = np.zeros(Z.shape[:2])
+    mask = np.zeros(Z.shape[:2])
+    for f, (X, y) in enumerate(zip(Xs, ys)):
+        Z[f, :sizes[f]] = scalers[f](X)
+        Y[f, :sizes[f]] = y
+        mask[f, :sizes[f]] = 1.0
+    Zt = Z.transpose(0, 2, 1)
+    n = sizes.astype(float)
+    w = np.zeros((len(Xs), Z.shape[2]))
+    b = np.zeros(len(Xs))
+    thr = step * lam * alpha
+    shrink = 1.0 + step * lam * (1.0 - alpha)
+    for _ in range(iterations):
+        resid = (sigmoid((Z @ w[:, :, None])[:, :, 0] + b[:, None]) - Y) * mask
+        w = w - step * (Zt @ resid[:, :, None])[:, :, 0] / n[:, None]
+        b = b - step * (resid.sum(axis=1) / n)
+        w = np.sign(w) * np.maximum(np.abs(w) - thr, 0.0) / shrink
+    probs = [sigmoid(scaler(np.asarray(X, dtype=float)) @ w[f] + b[f])
+             for f, (scaler, X) in enumerate(zip(scalers, tests))]
+    return w, b, probs

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import elastic_net_descent
 from tunemeter import metadata
 from tunemeter.hyperspace import (
     DatasetInfo,
@@ -260,13 +261,17 @@ class TestCrossValidate:
             cross_validate(learner, cfg, ds, 5, ("auc",), seed=0)
 
 
-def _separate_and_stacked_fits(n, n_pos, k_folds, alpha, lam, seed):
+def _stratified_data(n, n_pos, k_folds, seed):
     rng = np.random.default_rng(seed)
     y = rng.permutation(np.array([0] * (n - n_pos) + [1] * n_pos))
     X = rng.standard_normal((n, 3)) * [1.0, 3.0, 0.1] + [0.0, 5.0, -2.0]
     X[y == 1, 0] += 1.5
     folds = stratified_folds(y, k_folds, rng)
-    trains = [np.setdiff1d(np.arange(n), test) for test in folds]
+    return X, y, folds, [np.setdiff1d(np.arange(n), test) for test in folds]
+
+
+def _separate_and_stacked_fits(n, n_pos, k_folds, alpha, lam, seed):
+    X, y, folds, trains = _stratified_data(n, n_pos, k_folds, seed)
     stacked = _ElasticNetLogReg(alpha, lam).fit_folds([X[t] for t in trains],
                                                       [y[t] for t in trains])
     separate = [_ElasticNetLogReg(alpha, lam).fit_folds([X[t]], [y[t]]) for t in trains]
@@ -341,6 +346,59 @@ class TestStackedElasticNet:
              0.744, 0.5999999999999999, 0.20814776718632766),
             (0.7345468929920094, 8.658414760857287, 0.5, 0.5, 0.25),
         ]
+
+
+def _fit_as_full_descent(X, y, folds, trains, alpha, lam):
+    """The model fitted on the folds, asserted byte-equal to all 500 steps of the descent."""
+    model = _ElasticNetLogReg(alpha, lam).fit_folds([X[t] for t in trains],
+                                                    [y[t] for t in trains])
+    w, b, probs = elastic_net_descent([X[t] for t in trains], [y[t] for t in trains], alpha,
+                                      lam, [X[test] for test in folds])
+    assert model._coef.tobytes() == w.tobytes()
+    assert model._intercept.tobytes() == b.tobytes()
+    got = model.predict_folds([X[test] for test in folds])
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in probs]
+    return model
+
+
+class TestDescentStop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k_folds=st.integers(2, 10),
+        half=st.integers(10, 40),
+        balanced=st.booleans(),
+        odd=st.booleans(),
+        pos_share=st.floats(0.15, 0.85),
+        alpha=st.floats(0.0, 1.0),
+        log2_lambda=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stop_gives_the_bytes_of_every_step(self, k_folds, half, balanced, odd, pos_share,
+                                                alpha, log2_lambda, seed):
+        # balanced training folds under a large penalty reach a fixed point and stop;
+        # imbalanced ones keep moving the intercept and run every step
+        n = 2 * half + (odd and not balanced)
+        n_pos = half if balanced else min(max(round(n * pos_share), k_folds), n - k_folds)
+        X, y, folds, trains = _stratified_data(n, n_pos, k_folds, seed)
+        _fit_as_full_descent(X, y, folds, trains, alpha, 2.0 ** log2_lambda)
+
+    def test_zeroed_weights_stop_after_one_step(self):
+        # on balanced folds the first step leaves b = 0.0 and every weight at +0.0
+        # or -0.0 (soft thresholding keeps the sign of a negative gradient step),
+        # and the second step repeats it. A -0.0 equals 0.0 by value, so a stop on
+        # equal values would keep the start's +0.0 weights and fail the bytes
+        ds = make_synthetic_dataset("gaussian_blobs", n=60, p=3, separation=5, seed=2)
+        folds = stratified_folds(ds.y, 5, np.random.default_rng(0))
+        trains = [np.setdiff1d(np.arange(60), test) for test in folds]
+        assert all(2 * ds.y[t].sum() == t.size for t in trains)
+        model = _fit_as_full_descent(ds.X, ds.y, folds, trains, 0.5, 2.0 ** 6)
+        assert model._steps == 1
+        assert np.all(model._coef == 0.0) and np.signbit(model._coef).any()
+
+    def test_moving_intercept_runs_every_step(self):
+        X, y, folds, trains = _stratified_data(41, 15, 4, 0)
+        model = _fit_as_full_descent(X, y, folds, trains, 0.5, 2.0 ** 6)
+        assert model._steps == _ElasticNetLogReg.ITERATIONS
 
 
 @st.composite

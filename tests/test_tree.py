@@ -427,7 +427,7 @@ def exit_leaves(trees, X, rows):
     number, so the values they look up are the leaves.
     """
     numbered = _Trees(**{**trees.arrays(), "value": np.arange(trees.feature.size, dtype=float)})
-    values = numbered._leaf_values(numbered._cells(X)[2], rows)
+    values = numbered._leaf_values(numbered._intervals(X), rows)
     assert values.flags.c_contiguous and values.shape == (trees.roots.size, rows.size)
     return values.astype(np.int64)
 
